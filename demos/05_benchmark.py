@@ -13,12 +13,12 @@ report = run_benchmark(canvases=(128, 256), sizes=(8, 16, 32), repeats=3)
 
 print(f"gamma = {report['config']['gamma']}, repeats = {report['config']['repeats']}")
 print()
-print("engine (median seconds):")
+print("engine (fastest of 3, seconds):")
 for canvas, per_size in report["dp_seconds"].items():
     row = "  ".join(f"s={s}: {sec * 1e3:7.2f}ms" for s, sec in per_size.items())
     print(f"  {canvas:>4}x{canvas:<4} {row}")
 
-print("oracle (median seconds, smallest canvas only):")
+print("oracle (seconds, smallest canvas only):")
 for canvas, per_size in report["oracle_seconds"].items():
     row = "  ".join(f"s={s}: {sec * 1e3:7.2f}ms" for s, sec in per_size.items())
     print(f"  {canvas:>4}x{canvas:<4} {row}")

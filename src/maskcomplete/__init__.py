@@ -10,13 +10,10 @@ scaling benchmark.
 
 from .bench import run_benchmark
 from .completion import (
-    CandidateField,
     CompletionReport,
     GammaSchedule,
     apply_mask,
-    candidate_field,
     complete_fixed_gamma,
-    complete_multi_size,
     complete_single_size,
     distance_cutoff,
     final_mask,
@@ -36,12 +33,9 @@ from .corruption import (
 from .masks import (
     PatchCandidate,
     as_mask,
-    hamming_to_candidate,
     integral_image,
-    intersection,
     popcount,
     union,
-    window_sum,
 )
 from .oracle import oracle_complete_multi, oracle_complete_single, oracle_min_distance
 from .pbm import PBMFormatError, decode_pbm, encode_pbm, read_pbm, write_pbm
@@ -55,20 +49,14 @@ __all__ = [
     "as_mask",
     "popcount",
     "union",
-    "intersection",
     "integral_image",
-    "window_sum",
-    "hamming_to_candidate",
     "ShapeKind",
     "generate_shape_mask",
     "GammaSchedule",
-    "CandidateField",
     "CompletionReport",
     "normalize_sizes",
     "distance_cutoff",
-    "candidate_field",
     "complete_single_size",
-    "complete_multi_size",
     "complete_fixed_gamma",
     "gamma_search",
     "final_mask",

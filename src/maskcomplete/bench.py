@@ -1,10 +1,14 @@
 """Scaling benchmark for the completion engine and the brute-force oracle.
 
 The engine's runtime should track image area and stay flat across patch
-sizes; the oracle's should grow with s**2.  Medians over a few repetitions
-keep the numbers stable enough to assert those ratios.
+sizes; the oracle's should grow with s**2.  The patch sizes of a canvas
+run round-robin and each keeps its fastest of a few repetitions, so a host
+slowdown moves every size alike and the ratios stay stable enough to
+assert.
 """
 
+import functools
+import math
 import statistics
 import time
 
@@ -13,7 +17,7 @@ import numpy as np
 from .completion import complete_single_size
 from .oracle import oracle_complete_single
 
-__all__ = ["BENCH_GAMMA", "bench_fixture", "time_callable", "run_benchmark"]
+__all__ = ["BENCH_GAMMA", "bench_fixture", "time_round_robin", "run_benchmark"]
 
 # Threshold used for all timed runs.  Any value works for timing purposes;
 # a moderate one keeps the accepted-candidate plane non-trivial.
@@ -28,16 +32,42 @@ def bench_fixture(canvas: int, size: int) -> np.ndarray:
     return mask
 
 
-def time_callable(fn, repeats: int, warmup: bool = True) -> float:
-    """Median wall-time of ``fn()`` in seconds over ``repeats`` runs."""
+def time_round_robin(fns, repeats: int, warmup: bool = True) -> list:
+    """Minimum wall-time of each callable in seconds over ``repeats`` rounds.
+
+    Each round times every callable once, in turn, so a slowdown of the
+    host that lasts a while hits all of them alike rather than whichever
+    one happened to be running.
+    """
     if warmup:
-        fn()
-    samples = []
+        for fn in fns:
+            fn()
+    best = [math.inf] * len(fns)
     for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples)
+        for k, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[k] = min(best[k], time.perf_counter() - start)
+    return best
+
+
+def _time_configs(complete, canvases, sizes, repeats, warmup=True):
+    """Per-canvas, per-size minimum seconds of ``complete(mask, size, gamma)``.
+
+    Sizes run round-robin within a canvas, and the canvases one after the
+    other: a call's speed depends on how much memory the call before it
+    left mapped, so mixing canvases in a round would bias the size spread.
+    """
+    seconds = {}
+    for canvas in canvases:
+        fitting = [s for s in sizes if s <= canvas]
+        fns = [
+            functools.partial(complete, bench_fixture(canvas, s), s, BENCH_GAMMA)
+            for s in fitting
+        ]
+        times = time_round_robin(fns, repeats, warmup)
+        seconds[str(canvas)] = {str(s): t for s, t in zip(fitting, times)}
+    return seconds
 
 
 def run_benchmark(
@@ -49,44 +79,28 @@ def run_benchmark(
 ) -> dict:
     """Time the completion engine (and optionally the oracle) per config.
 
-    Returns a JSON-ready dict with per-configuration median seconds plus
+    Returns a JSON-ready dict with per-configuration minimum seconds plus
     the derived ratios: area scaling of the engine between the smallest
-    and largest canvas, the engine's spread across patch sizes, and the
-    oracle's growth from the smallest to the largest patch size.  The
-    oracle is timed on the smallest canvas only (it is slow by design) and
-    without warmup, since the interpreted path has no caches to prime.
+    and largest canvas, the engine's spread across patch sizes on the
+    largest canvas, and the oracle's growth from the smallest to the
+    largest patch size.  The spread is taken where the candidate grid's
+    border effect, and the timing noise relative to the work, are
+    smallest.  The sizes of a canvas run round-robin, one call each per
+    round.  The oracle is timed on the smallest canvas only (it is slow by
+    design) and without warmup, since the interpreted path has no caches
+    to prime.
     """
     canvases = sorted(int(c) for c in canvases)
     sizes = sorted(int(s) for s in sizes)
     if repeats < 1 or oracle_repeats < 1:
         raise ValueError("repetition counts must be >= 1")
 
-    dp_seconds = {}
-    for canvas in canvases:
-        per_size = {}
-        for size in sizes:
-            if size > canvas:
-                continue
-            mask = bench_fixture(canvas, size)
-            per_size[str(size)] = time_callable(
-                lambda: complete_single_size(mask, size, BENCH_GAMMA), repeats
-            )
-        dp_seconds[str(canvas)] = per_size
-
+    dp_seconds = _time_configs(complete_single_size, canvases, sizes, repeats)
     oracle_seconds = {}
     if include_oracle:
-        canvas = canvases[0]
-        per_size = {}
-        for size in sizes:
-            if size > canvas:
-                continue
-            mask = bench_fixture(canvas, size)
-            per_size[str(size)] = time_callable(
-                lambda: oracle_complete_single(mask, size, BENCH_GAMMA),
-                oracle_repeats,
-                warmup=False,
-            )
-        oracle_seconds[str(canvas)] = per_size
+        oracle_seconds = _time_configs(
+            oracle_complete_single, canvases[:1], sizes, oracle_repeats, warmup=False
+        )
 
     report = {
         "schema_version": 1,
@@ -110,9 +124,9 @@ def run_benchmark(
             report["dp_area_ratio"] = statistics.median(
                 large[s] / small[s] for s in shared
             )
-    first = dp_seconds[str(canvases[0])]
-    if len(first) >= 2:
-        values = list(first.values())
+    largest = dp_seconds[str(canvases[-1])]
+    if len(largest) >= 2:
+        values = list(largest.values())
         report["dp_size_spread"] = max(values) / min(values) - 1.0
     if include_oracle:
         per_size = oracle_seconds[str(canvases[0])]

@@ -8,13 +8,19 @@ entirely by the output, and the output contains nothing outside the union
 of qualifying windows.
 
 The implementation runs in time linear in the image area, independent of s:
-one summed-area table turns every candidate distance into a four-corner
-lookup, and a second summed-area table over the acceptance matrix turns
+one summed-area table turns every window distance into a four-corner
+lookup, and a second summed-area table over the accepted windows turns
 "is this pixel inside some accepted window" into another four-corner
 lookup.
+
+The distance from the observation to each window does not depend on gamma,
+so a search over several thresholds needs only each size's minimum
+distance: the first threshold whose cutoff reaches some size's minimum is
+the first with a nonempty completion, and the cover is built once, there.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -23,13 +29,10 @@ from .masks import as_mask, integral_image, popcount, union
 
 __all__ = [
     "GammaSchedule",
-    "CandidateField",
     "CompletionReport",
     "normalize_sizes",
     "distance_cutoff",
-    "candidate_field",
     "complete_single_size",
-    "complete_multi_size",
     "complete_fixed_gamma",
     "gamma_search",
     "final_mask",
@@ -52,6 +55,8 @@ def _exact_gamma(gamma) -> Fraction:
     elif isinstance(gamma, (int, np.integer)):
         g = Fraction(int(gamma))
     elif isinstance(gamma, (float, np.floating)):
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
         g = Fraction(float(gamma))
     else:
         raise TypeError(f"gamma must be float or Fraction, got {type(gamma)!r}")
@@ -116,20 +121,6 @@ class GammaSchedule:
 
 
 @dataclass(frozen=True)
-class CandidateField:
-    """Acceptance state of every candidate window of one size.
-
-    accept[i, j] is 1 iff the window with top-left corner (i, j) lies within
-    the distance cutoff; cover_count[i, j] counts the accepted windows that
-    contain pixel (i, j).  The completion for this size is cover_count >= 1.
-    """
-
-    size: int
-    accept: np.ndarray
-    cover_count: np.ndarray
-
-
-@dataclass(frozen=True)
 class CompletionReport:
     """Outcome of a completion run."""
 
@@ -141,53 +132,44 @@ class CompletionReport:
     output_popcount: int = 0
 
 
-def candidate_field(observed, size, gamma):
-    """Evaluate every candidate window of one size against the observation.
+def _distances(table, s) -> np.ndarray:
+    """Hamming distance from the mask to every filled s×s window.
 
-    Returns a :class:`CandidateField`, or None when ``size`` exceeds an
-    image dimension (no window fits, so there is nothing to evaluate).
-    Gamma is validated either way.
+    ``table`` is the mask's :func:`integral_image`; entry (i, j) of the
+    result belongs to the window with top-left corner (i, j), which must
+    fit: s <= H and s <= W.  With four-corner sums of the ones inside,
+    d = s^2 + total - 2 * ones_inside.
     """
-    mask = as_mask(observed)
-    g = _exact_gamma(gamma)
-    s = int(size)
-    if s < 1:
-        raise ValueError(f"patch size must be >= 1, got {s}")
-    H, W = mask.shape
-    if s > H or s > W:
-        return None
-    cutoff = int(g * (s * s))
+    H, W = table.shape[0] - 1, table.shape[1] - 1
+    d = table[s:, s:] - table[: H - s + 1, s:]
+    d -= table[s:, : W - s + 1]
+    d += table[: H - s + 1, : W - s + 1]
+    d *= -2
+    d += s * s + int(table[H, W])
+    return d
 
-    table = integral_image(mask)
-    total = int(table[H, W])
-    # Hamming distance to each filled window via four-corner sums:
-    # d = s^2 + total - 2 * ones_inside.
-    inside = table[s:, s:] - table[: H - s + 1, s:]
-    inside -= table[s:, : W - s + 1]
-    inside += table[: H - s + 1, : W - s + 1]
-    inside *= -2
-    inside += s * s + total
-    accept = inside <= cutoff
 
-    # Second summed-area table, over the acceptance matrix.  It is embedded
-    # in a full-canvas plane of zeros so the running sums saturate past the
-    # last candidate row/col and the four-corner cover counts below need no
-    # upper clipping.
+def _cover(accept, s) -> np.ndarray:
+    """H×W uint8 mask of the pixels inside at least one accepted s×s window.
+
+    ``accept`` holds one flag per window top-left corner, as laid out by
+    :func:`_distances`.  Pixel (i, j) lies in the windows whose corners are
+    in rows [i-s+1, i] and cols [j-s+1, j]; a summed-area table over the
+    flags counts them with running differences along each axis.
+    """
+    H, W = accept.shape[0] + s - 1, accept.shape[1] + s - 1
+    # The table spans the full canvas, so its running sums saturate past
+    # the last corner row/col and the differences need no upper clipping.
     acc = np.zeros((H + 1, W + 1), dtype=np.int64)
-    acc[1 : H - s + 2, 1 : W - s + 2] = accept
+    acc[1 : accept.shape[0] + 1, 1 : accept.shape[1] + 1] = accept
     np.cumsum(acc, axis=0, out=acc)
     np.cumsum(acc, axis=1, out=acc)
-
-    # Pixel (i, j) is covered by accepted windows with top-left corner in
-    # rows [i-s+1, i] and cols [j-s+1, j]; count them with four corners.
-    lo_r = np.maximum(np.arange(H) - s + 1, 0)
-    lo_c = np.maximum(np.arange(W) - s + 1, 0)
-    rows = acc[1:] - acc[lo_r]
-    cover = rows[:, 1:] - rows[:, lo_c]
-
-    return CandidateField(
-        size=s, accept=accept.astype(np.uint8), cover_count=cover
-    )
+    rows = acc[1:].copy()
+    rows[s:] -= acc[1 : H - s + 1]
+    del acc
+    count = rows[:, 1:].copy()
+    count[:, s:] -= rows[:, 1 : W - s + 1]
+    return (count > 0).view(np.uint8)
 
 
 def complete_single_size(observed, size, gamma) -> np.ndarray:
@@ -209,65 +191,77 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
         H×W uint8 mask: 1 exactly on pixels inside at least one accepted
         window.  A size larger than the image yields the all-zero mask.
     """
-    fieldval = candidate_field(observed, size, gamma)
-    if fieldval is None:
-        return np.zeros(as_mask(observed).shape, dtype=np.uint8)
-    return (fieldval.cover_count >= 1).astype(np.uint8)
-
-
-def _multi_size_detail(mask, sizes, gamma):
-    """OR of single-size completions plus per-size bookkeeping."""
-    out = np.zeros(mask.shape, dtype=np.uint8)
-    accepted = {}
-    skipped = []
-    for s in sizes:
-        fieldval = candidate_field(mask, s, gamma)
-        if fieldval is None:
-            accepted[s] = 0
-            skipped.append(s)
-            continue
-        accepted[s] = int(fieldval.accept.sum(dtype=np.int64))
-        out |= fieldval.cover_count >= 1
-    return out, accepted, tuple(skipped)
-
-
-def complete_multi_size(observed, sizes, gamma) -> np.ndarray:
-    """Union of :func:`complete_single_size` over a set of patch sizes."""
     mask = as_mask(observed)
-    _exact_gamma(gamma)
-    out, _, _ = _multi_size_detail(mask, normalize_sizes(sizes), gamma)
-    return out
+    cutoff = distance_cutoff(gamma, size)
+    s = int(size)
+    if s < 1:
+        raise ValueError(f"patch size must be >= 1, got {s}")
+    H, W = mask.shape
+    if s > H or s > W:
+        return np.zeros((H, W), dtype=np.uint8)
+    return _cover(_distances(integral_image(mask), s) <= cutoff, s)
+
+
+def _complete(mask, sizes, gammas):
+    """Multi-size completion at the first of ``gammas`` with a nonempty result.
+
+    Each fitting size's minimum window distance decides, without building
+    any cover, whether a threshold accepts a window of that size.  Only the
+    sizes accepted at the chosen threshold get their cover built.
+    ``gammas`` is consumed lazily, each validated as its step is reached,
+    so a long schedule that stops early never computes its later steps.
+    """
+    H, W = mask.shape
+    fitting = [s for s in sizes if s <= H and s <= W]
+    skipped = tuple(s for s in sizes if s > H or s > W)
+    accepted = dict.fromkeys(sizes, 0)
+
+    table = integral_image(mask)
+    # One distance plane alive at a time: only its minimum is kept.
+    d_min = {s: int(_distances(table, s).min()) for s in fitting}
+    step, gamma, hits = 0, None, []
+    for step, g in enumerate(gammas, start=1):
+        g = _exact_gamma(g)
+        hits = [s for s in fitting if d_min[s] <= int(g * (s * s))]
+        if hits:
+            gamma = g
+            break
+
+    out = np.zeros((H, W), dtype=np.uint8)
+    for s in hits:
+        accept = _distances(table, s) <= int(gamma * (s * s))
+        accepted[s] = int(np.count_nonzero(accept))
+        out |= _cover(accept, s)
+    report = CompletionReport(
+        attack_found=bool(hits),
+        gamma_used=float(gamma) if hits else None,
+        iterations_run=step,
+        per_size_accepted=accepted,
+        skipped_sizes=skipped,
+        output_popcount=popcount(out),
+    )
+    return out, report
 
 
 def complete_fixed_gamma(observed, sizes, gamma):
     """Multi-size completion at a single fixed threshold, with a report.
 
-    Same output mask as :func:`complete_multi_size`; the report mirrors the
-    one produced by :func:`gamma_search` with ``iterations_run=1``.
+    The output is the union of :func:`complete_single_size` over the sizes;
+    the report mirrors the one produced by :func:`gamma_search` for a
+    one-step schedule.
 
     Returns
     -------
     (ndarray, CompletionReport)
     """
-    mask = as_mask(observed)
-    out, accepted, skipped = _multi_size_detail(mask, normalize_sizes(sizes), gamma)
-    count = popcount(out)
-    report = CompletionReport(
-        attack_found=count > 0,
-        gamma_used=float(gamma) if count > 0 else None,
-        iterations_run=1,
-        per_size_accepted=accepted,
-        skipped_sizes=skipped,
-        output_popcount=count,
-    )
-    return out, report
+    return _complete(as_mask(observed), normalize_sizes(sizes), (gamma,))
 
 
 def gamma_search(observed, sizes, schedule=GammaSchedule()):
     """Run the threshold schedule until the completion is nonempty.
 
-    Evaluates the multi-size completion at gamma_1 < gamma_2 < ... and
-    returns the first nonzero mask together with a report.  If every step
+    Returns the multi-size completion at the first of gamma_1 < gamma_2 <
+    ... that yields a nonzero mask, together with a report.  If every step
     comes back empty, the observation is taken to contain no patch at all
     and the empty mask is returned with ``attack_found=False``.
 
@@ -275,48 +269,8 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     -------
     (ndarray, CompletionReport)
     """
-    mask = as_mask(observed)
-    sizes = normalize_sizes(sizes)
-    H, W = mask.shape
-    skipped = tuple(s for s in sizes if s > H or s > W)
-
-    if not mask.any():
-        # No observed pixel can ever be explained at gamma < 1: each window
-        # would have to differ in all s^2 positions.  Skip the schedule.
-        report = CompletionReport(
-            attack_found=False,
-            gamma_used=None,
-            iterations_run=schedule.t_max,
-            per_size_accepted={s: 0 for s in sizes},
-            skipped_sizes=skipped,
-            output_popcount=0,
-        )
-        return np.zeros((H, W), dtype=np.uint8), report
-
-    accepted = {s: 0 for s in sizes}
-    for t in range(1, schedule.t_max + 1):
-        g = schedule.gamma(t)
-        out, accepted, skipped = _multi_size_detail(mask, sizes, g)
-        if out.any():
-            report = CompletionReport(
-                attack_found=True,
-                gamma_used=float(g),
-                iterations_run=t,
-                per_size_accepted=accepted,
-                skipped_sizes=skipped,
-                output_popcount=popcount(out),
-            )
-            return out, report
-
-    report = CompletionReport(
-        attack_found=False,
-        gamma_used=None,
-        iterations_run=schedule.t_max,
-        per_size_accepted=accepted,
-        skipped_sizes=skipped,
-        output_popcount=0,
-    )
-    return np.zeros((H, W), dtype=np.uint8), report
+    gammas = map(schedule.gamma, range(1, schedule.t_max + 1))
+    return _complete(as_mask(observed), normalize_sizes(sizes), gammas)
 
 
 def final_mask(observed, completed) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Binary mask primitives: validation, popcounts, summed-area tables, and
-exact Hamming distances to square candidate windows.
+"""Binary mask primitives: validation, popcounts, unions and summed-area
+tables.
 
 All masks are 2-D numpy arrays with values in {0, 1} (dtype uint8 by
-convention).  Every count and distance in this module is computed in plain
+convention).  Every count in this module is computed in plain
 integer arithmetic; no floating point is involved anywhere.
 """
 
@@ -15,10 +15,7 @@ __all__ = [
     "as_mask",
     "popcount",
     "union",
-    "intersection",
     "integral_image",
-    "window_sum",
-    "hamming_to_candidate",
 ]
 
 
@@ -63,25 +60,13 @@ def popcount(mask) -> int:
     return int(as_mask(mask).sum(dtype=np.int64))
 
 
-def _check_same_shape(a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"mask dimensions differ: {a.shape} vs {b.shape}")
-
-
 def union(a, b) -> np.ndarray:
     """Element-wise OR of two equal-size masks."""
     a = as_mask(a)
     b = as_mask(b)
-    _check_same_shape(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"mask dimensions differ: {a.shape} vs {b.shape}")
     return a | b
-
-
-def intersection(a, b) -> np.ndarray:
-    """Element-wise AND of two equal-size masks."""
-    a = as_mask(a)
-    b = as_mask(b)
-    _check_same_shape(a, b)
-    return a & b
 
 
 def integral_image(mask) -> np.ndarray:
@@ -106,54 +91,3 @@ def integral_image(mask) -> np.ndarray:
     np.cumsum(m, axis=0, dtype=np.int64, out=out[1:, 1:])
     np.cumsum(out[1:, 1:], axis=1, out=out[1:, 1:])
     return out
-
-
-def _candidate_bounds(integral, cand):
-    s, i, j = cand
-    H = integral.shape[0] - 1
-    W = integral.shape[1] - 1
-    if s < 1:
-        raise ValueError(f"candidate size must be >= 1, got {s}")
-    if not (0 <= i <= H - s and 0 <= j <= W - s):
-        raise ValueError(
-            f"candidate (size={s}, row={i}, col={j}) is not fully contained "
-            f"in a {H}x{W} mask"
-        )
-    return s, i, j
-
-
-def window_sum(integral, cand) -> int:
-    """Number of 1-bits of the source mask inside a candidate window.
-
-    ``integral`` is the table produced by :func:`integral_image`; ``cand``
-    is a :class:`PatchCandidate` (any (size, row, col) triple works).  The
-    sum is read off with the standard four-corner lookup.
-    """
-    s, i, j = _candidate_bounds(integral, cand)
-    return int(
-        integral[i + s, j + s]
-        - integral[i, j + s]
-        - integral[i + s, j]
-        + integral[i, j]
-    )
-
-
-def hamming_to_candidate(integral, total_ones, cand) -> int:
-    """Exact Hamming distance from the source mask to a filled s×s window.
-
-    Uses the closed form ``s**2 + total_ones - 2 * window_sum``: bits inside
-    the window disagree where the mask is 0, bits outside disagree where the
-    mask is 1.
-
-    Parameters
-    ----------
-    integral : ndarray
-        Summed-area table of the source mask.
-    total_ones : int
-        Popcount of the source mask (``integral[-1, -1]``).
-    cand : PatchCandidate
-        Fully-contained candidate window.
-    """
-    s, _, _ = _candidate_bounds(integral, cand)
-    inside = window_sum(integral, cand)
-    return s * s + int(total_ones) - 2 * inside

@@ -32,7 +32,10 @@ def _as_ratio(gamma):
     Deliberately local: the oracle keeps its own arithmetic rather than
     importing the completion module's cutoff helper.
     """
-    g = Fraction(gamma)
+    try:
+        g = Fraction(gamma)
+    except (OverflowError, ValueError):  # inf and nan have no exact ratio
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}") from None
     if not 0 <= g < 1:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     return g.numerator, g.denominator

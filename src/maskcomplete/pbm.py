@@ -8,6 +8,7 @@ a half-written file.
 """
 
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -25,6 +26,9 @@ __all__ = [
 ]
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+# Bytes a P1 raster may hold once its comments are stripped.
+_P1_BYTES = np.zeros(256, dtype=bool)
+_P1_BYTES[list(b"01" + _WHITESPACE)] = True
 
 
 class PBMFormatError(ValueError):
@@ -100,26 +104,18 @@ def decode_pbm(data: bytes) -> np.ndarray:
         raise PBMFormatError(f"bad dimensions {width}x{height}")
 
     if magic == b"P1":
-        bits = []
-        raster = data[scanner.pos :]
-        i, n = 0, len(raster)
-        while i < n:
-            ch = raster[i : i + 1]
-            if ch == b"#":
-                while i < n and raster[i : i + 1] != b"\n":
-                    i += 1
-            elif ch in b"01":
-                bits.append(ch == b"1")
-                i += 1
-            elif ch in _WHITESPACE:
-                i += 1
-            else:
-                raise PBMFormatError(f"unexpected byte {ch!r} in P1 raster")
-        if len(bits) != width * height:
+        raster = re.sub(rb"#[^\n]*", b"", scanner.data[scanner.pos :])
+        codes = np.frombuffer(raster, dtype=np.uint8)
+        bad = np.flatnonzero(~_P1_BYTES[codes])
+        if bad.size:
+            ch = raster[bad[0] : bad[0] + 1]
+            raise PBMFormatError(f"unexpected byte {ch!r} in P1 raster")
+        digits = codes[(codes == ord("0")) | (codes == ord("1"))]
+        if digits.size != width * height:
             raise PBMFormatError(
-                f"P1 raster holds {len(bits)} bits, expected {width * height}"
+                f"P1 raster holds {digits.size} bits, expected {width * height}"
             )
-        return np.array(bits, dtype=np.uint8).reshape(height, width)
+        return (digits == ord("1")).view(np.uint8).reshape(height, width)
 
     # P4: a single whitespace byte separates the header from the raster.
     sep = data[scanner.pos : scanner.pos + 1]

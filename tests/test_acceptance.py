@@ -21,7 +21,7 @@ from maskcomplete import (
     CorruptionKind,
     CorruptionModel,
     GammaSchedule,
-    complete_multi_size,
+    complete_fixed_gamma,
     complete_single_size,
     corrupt,
     decode_pbm,
@@ -175,8 +175,8 @@ def test_criterion_4_monotonicity_and_symmetry(capfd):
         all_sizes = sorted(rng.choice(np.arange(1, 9), size=3, replace=False).tolist())
         subset = all_sizes[: int(rng.integers(1, 3))]
         g = float(rng.random())
-        small = complete_multi_size(mask, subset, g)
-        big = complete_multi_size(mask, all_sizes, g)
+        small = complete_fixed_gamma(mask, subset, g)[0]
+        big = complete_fixed_gamma(mask, all_sizes, g)[0]
         if np.any(small & ~big):
             size_bad += 1
 

@@ -6,7 +6,12 @@ canvases; here we only verify report shape, on tiny inputs.
 
 import pytest
 
-from maskcomplete.bench import BENCH_GAMMA, bench_fixture, run_benchmark, time_callable
+from maskcomplete.bench import (
+    BENCH_GAMMA,
+    bench_fixture,
+    run_benchmark,
+    time_round_robin,
+)
 
 
 def test_fixture_is_centered_square():
@@ -52,10 +57,13 @@ def test_bad_repeat_counts():
         run_benchmark(canvases=(16,), sizes=(4,), oracle_repeats=0)
 
 
-def test_time_callable_counts_calls():
+def test_time_round_robin_counts_calls():
     calls = []
-    time_callable(lambda: calls.append(1), repeats=3)
-    assert len(calls) == 4  # one warmup + three timed runs
+    times = time_round_robin(
+        [lambda: calls.append("a"), lambda: calls.append("b")], repeats=3
+    )
+    assert len(times) == 2 and all(t >= 0 for t in times)
+    assert calls == ["a", "b"] * 4  # one warmup round + three timed rounds
     calls.clear()
-    time_callable(lambda: calls.append(1), repeats=2, warmup=False)
+    time_round_robin([lambda: calls.append(1)], repeats=2, warmup=False)
     assert len(calls) == 2

@@ -93,9 +93,10 @@ class TestComplete:
             "--sizes", "16", "--fixed-gamma", "0.37", "--report", report,
         )
         assert code == 0
-        from maskcomplete import complete_multi_size
+        from maskcomplete import complete_fixed_gamma
 
-        assert np.array_equal(read_pbm(out), complete_multi_size(observed, (16,), 0.37))
+        want = complete_fixed_gamma(observed, (16,), 0.37)[0]
+        assert np.array_equal(read_pbm(out), want)
         doc = json.loads(report.read_text())
         assert doc["config"]["fixed_gamma"] == 0.37
         assert "alpha" not in doc["config"]
@@ -286,6 +287,22 @@ class TestErrorHandling:
             "--diff", path,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("gamma", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command", ["complete", "oracle", "trial"])
+    def test_non_finite_gamma_is_usage_error(
+        self, tmp_path, corrupted_fixture, capsys, command, gamma
+    ):
+        path, _ = corrupted_fixture
+        argv = {
+            "complete": ["complete", path, "-o", tmp_path / "o.pbm", "--sizes", "8",
+                         f"--fixed-gamma={gamma}"],
+            "oracle": ["oracle", path, "--sizes", "8", f"--gamma={gamma}"],
+            "trial": ["trial", "--size", "4", "--canvas", "16x16", f"--gamma={gamma}",
+                      "--model", "uniform-flip", "--trials", "1"],
+        }[command]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: gamma must lie in [0, 1)")
 
     def test_bad_sizes_is_usage_error(self, tmp_path, corrupted_fixture):
         path, _ = corrupted_fixture

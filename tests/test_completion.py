@@ -4,6 +4,7 @@ satisfy.  Bit-level expectations are checked against the brute-force oracle
 module; arithmetic expectations are worked out by hand in the asserts.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,15 +15,12 @@ from maskcomplete import (
     CompletionReport,
     GammaSchedule,
     apply_mask,
-    candidate_field,
     complete_fixed_gamma,
-    complete_multi_size,
     complete_single_size,
     distance_cutoff,
     final_mask,
     gamma_search,
     generate_shape_mask,
-    hamming_to_candidate,
     integral_image,
     normalize_sizes,
     oracle_complete_multi,
@@ -31,6 +29,7 @@ from maskcomplete import (
     popcount,
     union,
 )
+from maskcomplete.completion import _cover, _distances
 
 
 class TestDistanceCutoff:
@@ -156,54 +155,67 @@ class TestCompleteSingleSize:
 
 
 class TestCandidateField:
+    """The per-size kernels: the window distance plane and its cover."""
+
     def test_accept_matches_per_candidate_distances(self, rng):
-        mask = random_mask(rng, 14, 11, density=0.35)
-        size, gamma = 4, 0.4
-        fieldval = candidate_field(mask, size, gamma)
-        table = integral_image(mask)
-        total = popcount(mask)
-        cutoff = distance_cutoff(gamma, size)
-        for i in range(14 - size + 1):
-            for j in range(11 - size + 1):
-                dist = hamming_to_candidate(table, total, (size, i, j))
-                assert fieldval.accept[i, j] == (dist <= cutoff)
+        # The plane's minimum and its first row-major argmin are the
+        # oracle's, and some window is accepted iff the minimum is within
+        # the cutoff.
+        for _ in range(60):
+            H, W = (int(v) for v in rng.integers(3, 15, 2))
+            mask = random_mask(rng, H, W, density=float(rng.random()))
+            size = int(rng.integers(1, min(H, W) + 1))
+            dist = _distances(integral_image(mask), size)
+            best, cand = oracle_min_distance(mask, size)
+            assert dist.min() == best
+            assert np.unravel_index(dist.argmin(), dist.shape) == (cand.row, cand.col)
+            gamma = float(rng.random())
+            _, report = complete_fixed_gamma(mask, [size], gamma)
+            assert report.attack_found == (best <= distance_cutoff(gamma, size))
 
     def test_cover_count_matches_direct_count(self, rng):
         mask = random_mask(rng, 12, 12, density=0.4)
-        fieldval = candidate_field(mask, 3, 0.5)
         H = W = 12
         s = 3
+        accept = _distances(integral_image(mask), s) <= distance_cutoff(0.5, s)
+        cover = _cover(accept, s)
         for i in range(H):
             for j in range(W):
                 direct = sum(
-                    int(fieldval.accept[a, b])
+                    int(accept[a, b])
                     for a in range(max(0, i - s + 1), min(i, H - s) + 1)
                     for b in range(max(0, j - s + 1), min(j, W - s) + 1)
                 )
-                assert fieldval.cover_count[i, j] == direct
+                assert cover[i, j] == (direct >= 1)
 
     def test_output_is_exactly_cover_count_support(self, rng):
         mask = planted_patch(rng, 16, 16, 5, flips=6)
-        fieldval = candidate_field(mask, 5, 0.5)
+        accept = _distances(integral_image(mask), 5) <= distance_cutoff(0.5, 5)
         out = complete_single_size(mask, 5, 0.5)
-        assert np.array_equal(out, (fieldval.cover_count >= 1).astype(np.uint8))
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, _cover(accept, 5))
+        assert np.array_equal(out, oracle_complete_single(mask, 5, 0.5))
 
     def test_none_when_size_exceeds_image(self):
-        assert candidate_field(np.ones((4, 4), dtype=np.uint8), 5, 0.5) is None
+        mask = np.ones((4, 4), dtype=np.uint8)
+        out, report = complete_fixed_gamma(mask, [5], 0.5)
+        assert not out.any()
+        assert report.skipped_sizes == (5,)
+        assert report.per_size_accepted == {5: 0}
 
 
 class TestCompleteMultiSize:
     def test_singleton_equals_single(self, rng):
         mask = random_mask(rng, 15, 18, density=0.3)
         assert np.array_equal(
-            complete_multi_size(mask, [4], 0.5),
+            complete_fixed_gamma(mask, [4], 0.5)[0],
             complete_single_size(mask, 4, 0.5),
         )
 
     def test_exact_patch_ignores_smaller_size(self):
         mask = np.zeros((16, 16), dtype=np.uint8)
         mask[4:9, 6:11] = 1
-        got = complete_multi_size(mask, [3, 5], 0.0)
+        got = complete_fixed_gamma(mask, [3, 5], 0.0)[0]
         assert np.array_equal(got, complete_single_size(mask, 5, 0.0))
         assert np.array_equal(got, oracle_complete_multi(mask, [3, 5], 0.0))
 
@@ -213,7 +225,7 @@ class TestCompleteMultiSize:
         want = np.zeros_like(mask)
         for s in sizes:
             want |= complete_single_size(mask, s, 0.35)
-        assert np.array_equal(complete_multi_size(mask, sizes, 0.35), want)
+        assert np.array_equal(complete_fixed_gamma(mask, sizes, 0.35)[0], want)
 
     def test_large_canvas_decomposition(self, rng):
         mask = planted_patch(rng, 500, 500, 50, flips=400)
@@ -221,15 +233,15 @@ class TestCompleteMultiSize:
         want = np.zeros_like(mask)
         for s in sizes:
             want |= complete_single_size(mask, s, 0.3)
-        assert np.array_equal(complete_multi_size(mask, sizes, 0.3), want)
+        assert np.array_equal(complete_fixed_gamma(mask, sizes, 0.3)[0], want)
 
     def test_empty_size_set_gives_empty_mask(self, rng):
         mask = random_mask(rng, 8, 8)
-        assert not complete_multi_size(mask, [], 0.4).any()
+        assert not complete_fixed_gamma(mask, [], 0.4)[0].any()
 
     def test_oversized_sizes_contribute_nothing(self, rng):
         mask = random_mask(rng, 10, 10, density=0.4)
-        a = complete_multi_size(mask, [3, 99], 0.5)
+        a = complete_fixed_gamma(mask, [3, 99], 0.5)[0]
         b = complete_single_size(mask, 3, 0.5)
         assert np.array_equal(a, b)
 
@@ -285,6 +297,14 @@ class TestGammaSearch:
             out, oracle_complete_single(mask, size, sched.gamma(stop))
         )
 
+    def test_long_schedule_stops_without_computing_later_steps(self):
+        # Step t's exact gamma has digits growing with t; a search that
+        # stops at step 1 must not evaluate the other 10**5 - 1 steps.
+        mask = np.zeros((16, 16), dtype=np.uint8)
+        mask[3:11, 4:12] = 1
+        _, report = gamma_search(mask, [8], GammaSchedule(t_max=10**5))
+        assert report.iterations_run == 1
+
     def test_deterministic(self, rng):
         mask = planted_patch(rng, 30, 30, 7, flips=12)
         out1, rep1 = gamma_search(mask, [5, 7])
@@ -314,12 +334,53 @@ class TestGammaSearch:
         assert report.gamma_used is None
         assert report.iterations_run == 15
 
+    def test_stopping_step_matches_oracle_min_distance(self, rng):
+        # The expected stop is the first step whose cutoff reaches some
+        # fitting size's oracle minimum distance; the output there is the
+        # oracle's multi-size completion.
+        for k in range(150):
+            H, W = (int(v) for v in rng.integers(3, 13, 2))
+            # up to three sizes past the canvas's shorter side
+            pool = rng.choice(min(H, W) + 3, 3, replace=False) + 1
+            sizes = sorted(int(v) for v in pool)
+            sched = GammaSchedule(t_max=int(rng.integers(1, 16)))
+            if k % 5 == 0:
+                mask = np.zeros((H, W), dtype=np.uint8)
+            elif k % 5 in (1, 2):
+                size = min(sizes[0], H, W)
+                flips = int(rng.integers(0, size * size // 2 + 1))
+                mask = planted_patch(rng, H, W, size, flips)
+            else:
+                mask = random_mask(rng, H, W, density=float(rng.random()))
+            fitting = [s for s in sizes if s <= min(H, W)]
+            d_min = {s: oracle_min_distance(mask, s)[0] for s in fitting}
+            stop = next(
+                (
+                    t
+                    for t, g in enumerate(sched.gammas(), start=1)
+                    if any(d <= int(g * s * s) for s, d in d_min.items())
+                ),
+                None,
+            )
+
+            out, report = gamma_search(mask, sizes, sched)
+            if stop is None:
+                assert not out.any()
+                assert report.iterations_run == sched.t_max
+                assert report.gamma_used is None
+            else:
+                g = sched.gamma(stop)
+                assert report.iterations_run == stop
+                assert report.gamma_used == float(g)
+                assert np.array_equal(out, oracle_complete_multi(mask, sizes, g))
+            assert report.skipped_sizes == tuple(s for s in sizes if s not in fitting)
+
 
 class TestCompleteFixedGamma:
     def test_matches_multi_size(self, rng):
         mask = planted_patch(rng, 26, 22, 6, flips=8)
         out, report = complete_fixed_gamma(mask, [4, 6], 0.4)
-        assert np.array_equal(out, complete_multi_size(mask, [4, 6], 0.4))
+        assert np.array_equal(out, oracle_complete_multi(mask, [4, 6], 0.4))
         assert report.iterations_run == 1
         assert report.attack_found == bool(out.any())
         assert report.output_popcount == popcount(out)
@@ -331,6 +392,16 @@ class TestCompleteFixedGamma:
         assert not out.any()
         assert report.gamma_used is None
         assert not report.attack_found
+
+    @pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 5.0])
+    def test_rejects_invalid_gamma(self, gamma):
+        mask = np.ones((6, 6), dtype=np.uint8)
+        with pytest.raises(ValueError):
+            complete_fixed_gamma(mask, [], gamma)
+        with pytest.raises(ValueError):
+            complete_single_size(mask, 3, gamma)
+        with pytest.raises(ValueError):
+            oracle_complete_multi(mask, [3], gamma)
 
 
 class TestMonotonicityAndSymmetry:
@@ -359,8 +430,8 @@ class TestMonotonicityAndSymmetry:
             sub = sorted(int(v) for v in pool[:2])
             full = sorted(int(v) for v in pool)
             gamma = float(rng.random())
-            a = complete_multi_size(mask, sub, gamma)
-            b = complete_multi_size(mask, full, gamma)
+            a = complete_fixed_gamma(mask, sub, gamma)[0]
+            b = complete_fixed_gamma(mask, full, gamma)[0]
             assert not (a & ~b).any()
 
     def test_symmetry_equivariance(self, rng):

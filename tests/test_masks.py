@@ -1,6 +1,7 @@
-"""mask primitives: validation, integral images, window sums, Hamming
-distances.  Expected values come from independent little oracles written
-inline (double loops, XOR popcounts) rather than from the code under test.
+"""mask primitives: validation, integral images, window sums read off the
+table, and the engine's Hamming distance plane built on it.  Expected
+values come from independent little oracles written inline (double loops,
+XOR popcounts) rather than from the code under test.
 """
 
 import numpy as np
@@ -10,16 +11,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_mask
-from maskcomplete import (
-    PatchCandidate,
-    as_mask,
-    hamming_to_candidate,
-    integral_image,
-    intersection,
-    popcount,
-    union,
-    window_sum,
-)
+from maskcomplete import as_mask, integral_image, popcount, union
+from maskcomplete.completion import _distances
 
 small_masks = arrays(
     np.uint8,
@@ -91,16 +84,21 @@ class TestIntegralImage:
         assert (np.diff(table, axis=1) >= 0).all()
 
 
+def window_sum(table, s, i, j):
+    """Ones inside the s×s window at (i, j), by a four-corner lookup."""
+    return int(table[i + s, j + s] - table[i, j + s] - table[i + s, j] + table[i, j])
+
+
 class TestWindowSum:
     def test_all_ones(self):
         table = integral_image(np.ones((4, 4), dtype=np.uint8))
         for i in range(3):
             for j in range(3):
-                assert window_sum(table, PatchCandidate(2, i, j)) == 4
+                assert window_sum(table, 2, i, j) == 4
 
     def test_all_zeros(self):
         table = integral_image(np.zeros((5, 7), dtype=np.uint8))
-        assert window_sum(table, PatchCandidate(3, 1, 2)) == 0
+        assert window_sum(table, 3, 1, 2) == 0
 
     @pytest.mark.parametrize("size", [1, 3, 7, 10])
     def test_matches_per_window_popcount(self, rng, size):
@@ -109,49 +107,37 @@ class TestWindowSum:
         for i in range(10 - size + 1):
             for j in range(10 - size + 1):
                 direct = int(mask[i : i + size, j : j + size].sum())
-                assert window_sum(table, (size, i, j)) == direct
-
-    @pytest.mark.parametrize(
-        "cand",
-        [(3, -1, 0), (3, 0, -1), (3, 8, 0), (3, 0, 8), (11, 0, 0), (0, 0, 0)],
-    )
-    def test_out_of_range_raises(self, cand):
-        table = integral_image(np.zeros((10, 10), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            window_sum(table, PatchCandidate(*cand))
+                assert window_sum(table, size, i, j) == direct
 
 
 class TestHammingToCandidate:
+    """The engine's distance plane: one entry per window top-left corner."""
+
     def test_identical_patch_is_zero(self):
         mask = np.zeros((9, 9), dtype=np.uint8)
         mask[2:6, 3:7] = 1
-        table = integral_image(mask)
-        assert hamming_to_candidate(table, popcount(mask), (4, 2, 3)) == 0
+        dist = _distances(integral_image(mask), 4)
+        assert dist.shape == (6, 6)
+        assert dist[2, 3] == 0
+        assert np.count_nonzero(dist == 0) == 1
 
     @pytest.mark.parametrize("size", [1, 2, 5])
     def test_empty_mask_is_s_squared(self, size):
         mask = np.zeros((6, 6), dtype=np.uint8)
-        table = integral_image(mask)
-        assert hamming_to_candidate(table, 0, (size, 0, 0)) == size * size
+        dist = _distances(integral_image(mask), size)
+        assert (dist == size * size).all()
 
     def test_matches_xor_popcount(self, rng):
         mask = random_mask(rng, 12, 12)
         table = integral_image(mask)
-        total = popcount(mask)
-        for _ in range(100):
-            size = int(rng.integers(1, 13))
-            row = int(rng.integers(0, 12 - size + 1))
-            col = int(rng.integers(0, 12 - size + 1))
-            patch = np.zeros((12, 12), dtype=np.uint8)
-            patch[row : row + size, col : col + size] = 1
-            expected = int((mask ^ patch).sum())
-            got = hamming_to_candidate(table, total, (size, row, col))
-            assert got == expected
-
-    def test_out_of_range_raises(self):
-        table = integral_image(np.zeros((4, 4), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            hamming_to_candidate(table, 0, (5, 0, 0))
+        for size in range(1, 13):
+            dist = _distances(table, size)
+            assert dist.shape == (13 - size, 13 - size)
+            for row in range(13 - size):
+                for col in range(13 - size):
+                    patch = np.zeros((12, 12), dtype=np.uint8)
+                    patch[row : row + size, col : col + size] = 1
+                    assert dist[row, col] == int((mask ^ patch).sum())
 
 
 class TestFlipEquivariance:
@@ -167,9 +153,9 @@ class TestFlipEquivariance:
             size = int(rng.integers(1, 9))
             i = int(rng.integers(0, H - size + 1))
             j = int(rng.integers(0, W - size + 1))
-            base = window_sum(table, (size, i, j))
-            assert window_sum(table_h, (size, i, W - size - j)) == base
-            assert window_sum(table_v, (size, H - size - i, j)) == base
+            base = window_sum(table, size, i, j)
+            assert window_sum(table_h, size, i, W - size - j) == base
+            assert window_sum(table_v, size, H - size - i, j) == base
 
 
 class TestSetOps:
@@ -193,7 +179,7 @@ class TestSetOps:
         with pytest.raises(ValueError):
             union(np.zeros((2, 2), np.uint8), np.zeros((3, 2), np.uint8))
         with pytest.raises(ValueError):
-            intersection(np.zeros((2, 2), np.uint8), np.zeros((2, 3), np.uint8))
+            union(np.zeros((2, 2), np.uint8), np.zeros((2, 3), np.uint8))
 
     @settings(max_examples=100)
     @given(data=st.data())
@@ -202,9 +188,7 @@ class TestSetOps:
         elements = st.integers(0, 1)
         a = data.draw(arrays(np.uint8, shape, elements=elements))
         b = data.draw(arrays(np.uint8, shape, elements=elements))
-        assert popcount(union(a, b)) + popcount(intersection(a, b)) == popcount(
-            a
-        ) + popcount(b)
+        assert popcount(union(a, b)) + popcount(a & b) == popcount(a) + popcount(b)
 
 
 class TestPopcount:
