@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -81,7 +82,8 @@ def _parse_anchor(text):
     return row, col
 
 
-def _write_report(path, doc):
+def _write_report(path, command, **sections):
+    doc = {"schema_version": SCHEMA_VERSION, "command": command, **sections}
     atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
@@ -94,61 +96,51 @@ def _input_descriptor(path, mask):
     }
 
 
-def _report_result(report, output_path):
-    return {
-        "attack_found": report.attack_found,
-        "gamma_used": report.gamma_used,
-        "iterations_run": report.iterations_run,
-        "per_size_accepted": {str(k): v for k, v in report.per_size_accepted.items()},
-        "skipped_sizes": list(report.skipped_sizes),
-        "output_popcount": report.output_popcount,
-        "output_path": str(output_path),
-    }
-
-
 def _cmd_complete(args):
     start = time.perf_counter()
     observed = read_pbm(args.input)
     sizes = _parse_sizes(args.sizes)
+    fmt = args.format.upper()
 
     if args.fixed_gamma is not None:
         completed, report = complete_fixed_gamma(observed, sizes, args.fixed_gamma)
-        config = {"sizes": list(sizes), "fixed_gamma": args.fixed_gamma}
+        params = {"fixed_gamma": args.fixed_gamma}
     else:
         schedule = GammaSchedule(alpha=args.alpha, beta=args.beta, t_max=args.t_max)
         completed, report = gamma_search(observed, sizes, schedule)
-        config = {
-            "sizes": list(sizes),
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "t_max": args.t_max,
-        }
-    config["union_ps"] = args.union_ps
-    config["format"] = args.format.upper()
+        params = asdict(schedule)
 
-    out = final_mask(observed, completed) if args.union_ps else completed
-    write_pbm(out, args.output, fmt=args.format.upper())
+    out, written = completed, report.output_popcount
+    if args.union_ps:
+        out = final_mask(observed, completed)
+        written = popcount(out)
+    write_pbm(out, args.output, fmt=fmt)
 
     if args.report:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "complete",
-            "mask_convention": MASK_CONVENTION,
-            "input": _input_descriptor(args.input, observed),
-            "config": config,
-            "result": _report_result(report, args.output),
-            "written_popcount": popcount(out),
-            "wall_time_ms": round((time.perf_counter() - start) * 1e3, 3),
-        }
-        _write_report(args.report, doc)
+        _write_report(
+            args.report,
+            "complete",
+            mask_convention=MASK_CONVENTION,
+            input=_input_descriptor(args.input, observed),
+            config={
+                "sizes": list(sizes),
+                **params,
+                "union_ps": args.union_ps,
+                "format": fmt,
+            },
+            result={**asdict(report), "output_path": str(args.output)},
+            written_popcount=written,
+            wall_time_ms=round((time.perf_counter() - start) * 1e3, 3),
+        )
 
     if report.attack_found:
-        print(
-            f"wrote {args.output}: attack found at gamma={report.gamma_used:g} "
-            f"(iteration {report.iterations_run}), popcount {popcount(out)}"
+        outcome = (
+            f"attack found at gamma={report.gamma_used:g} "
+            f"(iteration {report.iterations_run})"
         )
     else:
-        print(f"wrote {args.output}: no attack found, popcount {popcount(out)}")
+        outcome = "no attack found"
+    print(f"wrote {args.output}: {outcome}, popcount {written}")
     return 0
 
 
@@ -193,23 +185,17 @@ def _cmd_corrupt(args):
     outcome = corrupt_outcome(observed, model)
     write_pbm(outcome.mask, args.output, fmt=args.format.upper())
     if args.report:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "corrupt",
-            "mask_convention": MASK_CONVENTION,
-            "input": _input_descriptor(args.input, observed),
-            "model": {
-                "kind": model.kind.value,
-                "budget": model.budget,
-                "seed": model.seed,
-                "generator": "pcg64",
-            },
-            "hamming": outcome.hamming,
-            "clamped": outcome.clamped,
-            "output_path": str(args.output),
-            "output_popcount": popcount(outcome.mask),
-        }
-        _write_report(args.report, doc)
+        _write_report(
+            args.report,
+            "corrupt",
+            mask_convention=MASK_CONVENTION,
+            input=_input_descriptor(args.input, observed),
+            model={**asdict(model), "kind": model.kind.value, "generator": "pcg64"},
+            hamming=outcome.hamming,
+            clamped=outcome.clamped,
+            output_path=str(args.output),
+            output_popcount=popcount(outcome.mask),
+        )
     print(
         f"wrote {args.output}: {args.model} moved {outcome.hamming} pixels"
         + (" (budget clamped)" if outcome.clamped else "")
@@ -218,6 +204,8 @@ def _cmd_corrupt(args):
 
 
 def _cmd_trial(args):
+    if args.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {args.trials}")
     canvas = _parse_canvas(args.canvas)
     budget = args.budget
     if budget is None:
@@ -239,10 +227,10 @@ def _cmd_trial(args):
     failures_within = [r for r in within if not r.passed]
 
     if args.report:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "trial",
-            "config": {
+        _write_report(
+            args.report,
+            "trial",
+            config={
                 "size": args.size,
                 "canvas": list(canvas),
                 "gamma": args.gamma,
@@ -252,12 +240,11 @@ def _cmd_trial(args):
                 "seed": args.seed,
                 "generator": "pcg64",
             },
-            "passed": passed,
-            "within_budget": len(within),
-            "within_budget_failures": [r.seed for r in failures_within],
-            "cover_rate": passed / len(records),
-        }
-        _write_report(args.report, doc)
+            passed=passed,
+            within_budget=len(within),
+            within_budget_failures=[r.seed for r in failures_within],
+            cover_rate=passed / len(records),
+        )
 
     print(
         f"{passed}/{len(records)} trials covered the ground truth "
@@ -274,17 +261,15 @@ def _cmd_bench(args):
         oracle_repeats=args.oracle_reps,
         include_oracle=not args.no_oracle,
     )
-    for canvas, per_size in report["dp_seconds"].items():
-        for size, seconds in per_size.items():
-            print(f"dp      {canvas:>6}px s={size:>4}  {seconds * 1e3:9.2f} ms")
-    for canvas, per_size in report["oracle_seconds"].items():
-        for size, seconds in per_size.items():
-            print(f"oracle  {canvas:>6}px s={size:>4}  {seconds * 1e3:9.2f} ms")
+    for engine in ("dp", "oracle"):
+        for canvas, per_size in report[f"{engine}_seconds"].items():
+            for size, seconds in per_size.items():
+                print(f"{engine:<8}{canvas:>6}px s={size:>4}  {seconds * 1e3:9.2f} ms")
     for key in ("dp_area_ratio", "dp_size_spread", "oracle_growth"):
         if key in report:
             print(f"{key} = {report[key]:.3f}")
     if args.report:
-        _write_report(args.report, report)
+        atomic_write_text(args.report, json.dumps(report, indent=2) + "\n")
     return 0
 
 
@@ -398,10 +383,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PBMFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (PBMFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -8,7 +8,9 @@ seeded from the model, so identical inputs give bitwise identical outputs.
 """
 
 import enum
+import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -78,50 +80,25 @@ class TrialRecord:
     passed: bool
 
 
-def _shift_down(m):
-    out = np.zeros_like(m)
-    out[1:] = m[:-1]
-    return out
-
-
-def _shift_up(m):
-    out = np.zeros_like(m)
-    out[:-1] = m[1:]
-    return out
-
-
-def _shift_right(m):
-    out = np.zeros_like(m)
-    out[:, 1:] = m[:, :-1]
-    return out
-
-
-def _shift_left(m):
-    out = np.zeros_like(m)
-    out[:, :-1] = m[:, 1:]
-    return out
+def _neighbors(core):
+    """The four 4-neighbor views of ``core`` (the image border reads 0)."""
+    p = np.zeros((core.shape[0] + 2, core.shape[1] + 2), dtype=bool)
+    p[1:-1, 1:-1] = core
+    return p[:-2, 1:-1], p[2:, 1:-1], p[1:-1, :-2], p[1:-1, 2:]
 
 
 def _inner_boundary(mask):
     """1-pixels with a 4-neighbor equal to 0 (image border counts as 0)."""
     core = mask.astype(bool)
-    interior = (
-        core
-        & _shift_down(core)
-        & _shift_up(core)
-        & _shift_right(core)
-        & _shift_left(core)
-    )
-    return core & ~interior
+    up, down, left, right = _neighbors(core)
+    return core & ~(up & down & left & right)
 
 
 def _outer_boundary(mask):
     """0-pixels 4-adjacent to some 1-pixel."""
     core = mask.astype(bool)
-    near = (
-        _shift_down(core) | _shift_up(core) | _shift_right(core) | _shift_left(core)
-    )
-    return near & ~core
+    up, down, left, right = _neighbors(core)
+    return (up | down | left | right) & ~core
 
 
 def _uniform_flip(mask, budget, rng):
@@ -133,34 +110,20 @@ def _uniform_flip(mask, budget, rng):
     return out, take, take < budget
 
 
-def _erode_boundary(mask, budget, rng):
-    # Peel boundary pixels layer by layer until the budget (or the patch)
-    # is exhausted; each removal is an exact 1 -> 0 flip.
+def _peel(mask, budget, rng, frontier, value):
+    # Set frontier pixels to ``value`` layer by layer until the budget (or
+    # the frontier) is exhausted; each one is an exact single-pixel flip.
     out = mask.copy()
-    removed = 0
-    while removed < budget:
-        candidates = np.flatnonzero(_inner_boundary(out))
+    done = 0
+    while done < budget:
+        candidates = np.flatnonzero(frontier(out))
         if candidates.size == 0:
             break
-        take = min(budget - removed, candidates.size)
+        take = min(budget - done, candidates.size)
         chosen = rng.choice(candidates, size=take, replace=False)
-        out.flat[chosen] = 0
-        removed += take
-    return out, removed, removed < budget
-
-
-def _dilate_outside(mask, budget, rng):
-    out = mask.copy()
-    added = 0
-    while added < budget:
-        candidates = np.flatnonzero(_outer_boundary(out))
-        if candidates.size == 0:
-            break
-        take = min(budget - added, candidates.size)
-        chosen = rng.choice(candidates, size=take, replace=False)
-        out.flat[chosen] = 1
-        added += take
-    return out, added, added < budget
+        out.flat[chosen] = value
+        done += take
+    return out, done, done < budget
 
 
 def _split_hole(mask, budget, rng):
@@ -175,7 +138,7 @@ def _split_hole(mask, budget, rng):
     if budget == 0 or int_h < 1 or int_w < 1:
         return mask.copy(), 0, budget > 0
 
-    want_h = max(1, int(np.sqrt(budget)))
+    want_h = max(1, math.isqrt(budget))
     want_w = max(1, budget // want_h)
     hole_h = min(want_h, int_h)
     # after clamping the height, let the width regrow into the leftover budget
@@ -193,8 +156,8 @@ def _split_hole(mask, budget, rng):
 
 _APPLY = {
     CorruptionKind.UNIFORM_FLIP: _uniform_flip,
-    CorruptionKind.ERODE_BOUNDARY: _erode_boundary,
-    CorruptionKind.DILATE_OUTSIDE: _dilate_outside,
+    CorruptionKind.ERODE_BOUNDARY: partial(_peel, frontier=_inner_boundary, value=0),
+    CorruptionKind.DILATE_OUTSIDE: partial(_peel, frontier=_outer_boundary, value=1),
     CorruptionKind.SPLIT_HOLE: _split_hole,
 }
 

@@ -44,67 +44,45 @@ def encode_pbm(mask, fmt="P4") -> bytes:
     if fmt == "P4":
         return header + np.packbits(m, axis=1).tobytes()
     if fmt == "P1":
-        lines = []
-        for row in m:
-            digits = "".join("1" if v else "0" for v in row)
-            # keep plain-format lines within the traditional 70-char limit
-            lines.extend(digits[k : k + 64] for k in range(0, len(digits), 64))
-        return header + "\n".join(lines).encode("ascii") + b"\n"
+        # A newline after every 64 digits and at each row's end keeps
+        # plain-format lines within the traditional 70-char limit.
+        breaks = [*range(64, W, 64), W]
+        return header + np.insert(m + ord("0"), breaks, ord("\n"), axis=1).tobytes()
     raise ValueError(f"format must be 'P1' or 'P4', got {fmt!r}")
 
 
-class _Scanner:
-    """Tokenizer for PBM headers: skips whitespace and # comments."""
+# Skips whitespace and # comments, then captures one header token.
+_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\n]*)*([^ \t\n\r\x0b\x0c#]*)")
 
-    def __init__(self, data):
-        self.data = data
-        self.pos = 0
 
-    def _skip_filler(self):
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            ch = data[self.pos : self.pos + 1]
-            if ch == b"#":
-                while self.pos < n and data[self.pos : self.pos + 1] != b"\n":
-                    self.pos += 1
-            elif ch in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
+def _token(data, pos):
+    """The header token after ``pos``, and the position just past it."""
+    match = _TOKEN.match(data, pos)
+    if not match.group(1):
+        raise PBMFormatError("unexpected end of header")
+    return match.group(1), match.end()
 
-    def token(self) -> bytes:
-        self._skip_filler()
-        start = self.pos
-        n = len(self.data)
-        while self.pos < n:
-            ch = self.data[self.pos : self.pos + 1]
-            if ch in _WHITESPACE or ch == b"#":
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise PBMFormatError("unexpected end of header")
-        return self.data[start : self.pos]
 
-    def int_token(self) -> int:
-        tok = self.token()
-        if not tok.isdigit():
-            raise PBMFormatError(f"expected an integer in header, got {tok!r}")
-        return int(tok)
+def _int_token(data, pos):
+    tok, pos = _token(data, pos)
+    if not tok.isdigit():
+        raise PBMFormatError(f"expected an integer in header, got {tok!r}")
+    return int(tok), pos
 
 
 def decode_pbm(data: bytes) -> np.ndarray:
     """Parse PBM bytes (P1 or P4) into an H×W uint8 mask."""
-    scanner = _Scanner(bytes(data))
-    magic = scanner.token()
+    data = bytes(data)
+    magic, pos = _token(data, 0)
     if magic not in (b"P1", b"P4"):
         raise PBMFormatError(f"not a PBM file (magic {magic!r})")
-    width = scanner.int_token()
-    height = scanner.int_token()
+    width, pos = _int_token(data, pos)
+    height, pos = _int_token(data, pos)
     if width < 1 or height < 1:
         raise PBMFormatError(f"bad dimensions {width}x{height}")
 
     if magic == b"P1":
-        raster = re.sub(rb"#[^\n]*", b"", scanner.data[scanner.pos :])
+        raster = re.sub(rb"#[^\n]*", b"", data[pos:])
         codes = np.frombuffer(raster, dtype=np.uint8)
         bad = np.flatnonzero(~_P1_BYTES[codes])
         if bad.size:
@@ -118,10 +96,10 @@ def decode_pbm(data: bytes) -> np.ndarray:
         return (digits == ord("1")).view(np.uint8).reshape(height, width)
 
     # P4: a single whitespace byte separates the header from the raster.
-    sep = data[scanner.pos : scanner.pos + 1]
+    sep = data[pos : pos + 1]
     if sep not in (b" ", b"\t", b"\n", b"\r"):
         raise PBMFormatError("P4 header must end with one whitespace byte")
-    raster = data[scanner.pos + 1 :]
+    raster = data[pos + 1 :]
     row_bytes = (width + 7) // 8
     expected = row_bytes * height
     if len(raster) != expected:

@@ -172,6 +172,12 @@ def generate_shape_mask(kind, n, anchor, canvas) -> np.ndarray:
     H, W = int(canvas[0]), int(canvas[1])
     if H < 1 or W < 1:
         raise ValueError(f"canvas must be nonempty, got {H}x{W}")
+    # Every kind sets more than n*n/2 pixels, so this rejects only shapes
+    # that cannot fit, before their tile is built.
+    if int(n) ** 2 > 2 * H * W:
+        raise ValueError(
+            f"{kind.value} of size n={n} cannot fit inside a {H}x{W} canvas"
+        )
 
     tile = _tile(kind, int(n))
     h, w = tile.shape

@@ -12,6 +12,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maskcomplete import (
     CorruptionKind,
@@ -138,6 +140,139 @@ class TestComplete:
         assert np.array_equal(read_pbm(p1), read_pbm(p4))
 
 
+def _ordered(value):
+    """A JSON value with every object turned into its list of (key, value)
+    pairs, so that comparing two of them also compares key order."""
+    if isinstance(value, dict):
+        return [(k, _ordered(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return [_ordered(v) for v in value]
+    return value
+
+
+class TestReportDocuments:
+    """Golden reports: every key, its order and its value (bar wall time)."""
+
+    def run(self, capsys, report, *argv):
+        assert run_cli(*argv, "--report", report) == 0
+        doc = json.loads(report.read_text())
+        doc.pop("wall_time_ms", None)
+        return capsys.readouterr().out, _ordered(doc)
+
+    def complete_doc(self, path, out, config, result, written):
+        return _ordered({
+            "schema_version": 1,
+            "command": "complete",
+            "mask_convention": "1 = patch pixel (PBM black)",
+            "input": {"path": str(path), "height": 48, "width": 48, "popcount": 275},
+            "config": config,
+            "result": {**result, "output_path": str(out)},
+            "written_popcount": written,
+        })
+
+    def test_complete_schedule(self, tmp_path, corrupted_fixture, capsys):
+        path, _ = corrupted_fixture
+        out, report = tmp_path / "o.pbm", tmp_path / "r.json"
+        printed, doc = self.run(
+            capsys, report, "complete", path, "-o", out, "--sizes", "8,12,16,60"
+        )
+        assert printed == (
+            f"wrote {out}: attack found at gamma=0.1 (iteration 1), popcount 256\n"
+        )
+        assert doc == self.complete_doc(
+            path, out,
+            {"sizes": [8, 12, 16, 60], "alpha": 0.9, "beta": 0.7, "t_max": 15,
+             "union_ps": False, "format": "P4"},
+            {"attack_found": True, "gamma_used": 0.1, "iterations_run": 1,
+             "per_size_accepted": {"8": 0, "12": 0, "16": 1, "60": 0},
+             "skipped_sizes": [60], "output_popcount": 256},
+            256,
+        )
+
+    def test_complete_fixed_gamma(self, tmp_path, corrupted_fixture, capsys):
+        path, _ = corrupted_fixture
+        out, report = tmp_path / "o.pbm", tmp_path / "r.json"
+        printed, doc = self.run(
+            capsys, report, "complete", path, "-o", out,
+            "--sizes", "12,16", "--fixed-gamma", "0.37",
+        )
+        assert printed == (
+            f"wrote {out}: attack found at gamma=0.37 (iteration 1), popcount 388\n"
+        )
+        assert doc == self.complete_doc(
+            path, out,
+            {"sizes": [12, 16], "fixed_gamma": 0.37, "union_ps": False,
+             "format": "P4"},
+            {"attack_found": True, "gamma_used": 0.37, "iterations_run": 1,
+             "per_size_accepted": {"12": 0, "16": 13}, "skipped_sizes": [],
+             "output_popcount": 388},
+            388,
+        )
+
+    def test_complete_union_ps(self, tmp_path, corrupted_fixture, capsys):
+        path, _ = corrupted_fixture
+        out, report = tmp_path / "o.pbm", tmp_path / "r.json"
+        printed, doc = self.run(
+            capsys, report, "complete", path, "-o", out,
+            "--sizes", "16", "--union-ps", "--format", "p1",
+        )
+        assert printed == (
+            f"wrote {out}: attack found at gamma=0.1 (iteration 1), popcount 275\n"
+        )
+        assert doc == self.complete_doc(
+            path, out,
+            {"sizes": [16], "alpha": 0.9, "beta": 0.7, "t_max": 15,
+             "union_ps": True, "format": "P1"},
+            {"attack_found": True, "gamma_used": 0.1, "iterations_run": 1,
+             "per_size_accepted": {"16": 1}, "skipped_sizes": [],
+             "output_popcount": 256},
+            275,
+        )
+
+    def test_corrupt(self, tmp_path, capsys):
+        gt_path, out = tmp_path / "gt.pbm", tmp_path / "o.pbm"
+        write_pbm(generate_shape_mask("square", 16, (10, 12), (48, 48)), gt_path)
+        printed, doc = self.run(
+            capsys, tmp_path / "r.json", "corrupt", gt_path, "--model", "split-hole",
+            "--budget", 30, "--seed", 5, "-o", out,
+        )
+        assert printed == f"wrote {out}: split-hole moved 30 pixels\n"
+        assert doc == _ordered({
+            "schema_version": 1,
+            "command": "corrupt",
+            "mask_convention": "1 = patch pixel (PBM black)",
+            "input": {"path": str(gt_path), "height": 48, "width": 48, "popcount": 256},
+            "model": {"kind": "split-hole", "budget": 30, "seed": 5,
+                      "generator": "pcg64"},
+            "hamming": 30,
+            "clamped": False,
+            "output_path": str(out),
+            "output_popcount": 226,
+        })
+
+    def test_trial(self, tmp_path, capsys):
+        printed, doc = self.run(
+            capsys, tmp_path / "r.json", "trial", "--size", 8, "--gamma", "0.3",
+            "--model", "erode-boundary", "--trials", 3, "--canvas", "24x20",
+            "--seed", 3,
+        )
+        assert printed == (
+            "3/3 trials covered the ground truth "
+            "(3 within budget, 0 guarantee violations)\n"
+        )
+        assert doc == _ordered({
+            "schema_version": 1,
+            "command": "trial",
+            "config": {"size": 8, "canvas": [24, 20], "gamma": 0.3,
+                       "model": "erode-boundary", "budget": 19, "trials": 3,
+                       "seed": 3, "generator": "pcg64"},
+            "passed": 3,
+            "within_budget": 3,
+            "within_budget_failures": [],
+            "cover_rate": 1.0,
+        })
+
+
 class TestOracle:
     def test_diff_match_and_mismatch(self, tmp_path, corrupted_fixture, capsys):
         path, _ = corrupted_fixture
@@ -208,6 +343,17 @@ class TestGen:
             "-o", tmp_path / "x.pbm",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["square", "circle", "rectangle"])
+    def test_oversized_shape_rejected_before_drawing(self, tmp_path, capsys, kind):
+        code = run_cli(
+            "gen", "--kind", kind, "--n", 10**6, "--canvas", "8x8",
+            "-o", tmp_path / "x.pbm",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {kind} of size n=1000000 cannot fit inside a 8x8 canvas\n"
+        )
 
 
 class TestCorruptAndTrial:
@@ -313,6 +459,91 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate")
         assert exc.value.code == 2
+
+
+# Numeric CLI arguments: small values, zero, negatives and huge ints; floats
+# include nan and +-inf.  Canvases stay <= 256 and --trials <= 3, so that no
+# example allocates more than a few MB.  --t-max stays small because a
+# no-attack run walks every step of the schedule.
+INTS = st.one_of(
+    st.integers(-3, 40), st.sampled_from([-(10**20), 2**63, 10**20, 2**64 + 1])
+)
+FLOATS = st.one_of(
+    st.floats(), st.sampled_from([0.0, 0.5, 1.0, -0.0, 5e-324, 1e300])
+)
+CANVAS = st.builds("{}x{}".format, st.integers(-2, 256), st.integers(-2, 256))
+EXIT_CODES = {0, 1, 2, 3}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    write_pbm(generate_shape_mask("square", 12, (5, 7), (32, 32)), d / "patch.pbm")
+    write_pbm(np.zeros((32, 32), dtype=np.uint8), d / "blank.pbm")
+    return d
+
+
+class TestNumericArguments:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["square", "circle", "rectangle", "diamond",
+                              "triangle", "ellipse"]),
+        n=INTS, canvas=CANVAS, anchor=st.none() | st.tuples(INTS, INTS),
+    )
+    def test_gen(self, fuzz_dir, kind, n, canvas, anchor):
+        argv = ["gen", f"--kind={kind}", f"--n={n}", f"--canvas={canvas}",
+                "-o", fuzz_dir / "gen.pbm"]
+        if anchor is not None:
+            argv.append(f"--anchor={anchor[0]},{anchor[1]}")
+        assert run_cli(*argv) in EXIT_CODES
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        source=st.sampled_from(["patch.pbm", "blank.pbm"]),
+        model=st.sampled_from([k.value for k in CorruptionKind]),
+        budget=INTS, seed=INTS,
+    )
+    def test_corrupt(self, fuzz_dir, source, model, budget, seed):
+        code = run_cli(
+            "corrupt", fuzz_dir / source, f"--model={model}", f"--budget={budget}",
+            f"--seed={seed}", "-o", fuzz_dir / "corrupt.pbm",
+            "--report", fuzz_dir / "corrupt.json",
+        )
+        assert code in EXIT_CODES
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=INTS, canvas=CANVAS, gamma=FLOATS,
+        model=st.sampled_from([k.value for k in CorruptionKind]),
+        budget=st.none() | INTS, trials=st.integers(-2, 3), seed=INTS,
+    )
+    def test_trial(self, fuzz_dir, size, canvas, gamma, model, budget, trials, seed):
+        argv = ["trial", f"--size={size}", f"--canvas={canvas}", f"--gamma={gamma}",
+                f"--model={model}", f"--trials={trials}", f"--seed={seed}",
+                "--report", fuzz_dir / "trial.json"]
+        if budget is not None:
+            argv.append(f"--budget={budget}")
+        assert run_cli(*argv) in EXIT_CODES
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        source=st.sampled_from(["patch.pbm", "blank.pbm"]),
+        sizes=st.lists(INTS, min_size=1, max_size=4),
+        alpha=FLOATS, beta=FLOATS, t_max=st.integers(-2, 30),
+        fixed_gamma=st.none() | FLOATS, union_ps=st.booleans(),
+    )
+    def test_complete(
+        self, fuzz_dir, source, sizes, alpha, beta, t_max, fixed_gamma, union_ps
+    ):
+        argv = ["complete", fuzz_dir / source, "-o", fuzz_dir / "complete.pbm",
+                f"--sizes={','.join(map(str, sizes))}", f"--alpha={alpha}",
+                f"--beta={beta}", f"--t-max={t_max}",
+                "--report", fuzz_dir / "complete.json"]
+        if fixed_gamma is not None:
+            argv.append(f"--fixed-gamma={fixed_gamma}")
+        if union_ps:
+            argv.append("--union-ps")
+        assert run_cli(*argv) in EXIT_CODES
 
 
 def test_module_entry_point(tmp_path):

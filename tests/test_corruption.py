@@ -205,6 +205,83 @@ class TestDeterminismAndBudget:
         assert model.kind is CorruptionKind.UNIFORM_FLIP
 
 
+# corrupt_outcome of a 5x8 rectangle at budget 30, seed 2024: (rows, hamming,
+# clamped).  Erode and dilate need a second layer; split-hole is clamped.
+GOLDEN_OUTCOMES = {
+    CorruptionKind.UNIFORM_FLIP: (
+        [
+            "100000110010",
+            "100111010000",
+            "010111111110",
+            "001111111000",
+            "001011011111",
+            "000111110100",
+            "011110000100",
+            "001100010000",
+            "110001000000",
+        ],
+        30,
+        False,
+    ),
+    CorruptionKind.ERODE_BOUNDARY: (
+        [
+            "000000000000",
+            "000000000000",
+            "000000000000",
+            "000110010000",
+            "000111110000",
+            "000110000000",
+            "000000000000",
+            "000000000000",
+            "000000000000",
+        ],
+        30,
+        False,
+    ),
+    CorruptionKind.DILATE_OUTSIDE: (
+        [
+            "000000000100",
+            "001111111110",
+            "011111111110",
+            "011111111110",
+            "011111111110",
+            "011111111110",
+            "011111111110",
+            "001111111100",
+            "000110000000",
+        ],
+        30,
+        False,
+    ),
+    CorruptionKind.SPLIT_HOLE: (
+        [
+            "000000000000",
+            "000000000000",
+            "001111111100",
+            "001000000100",
+            "001000000100",
+            "001000000100",
+            "001111111100",
+            "000000000000",
+            "000000000000",
+        ],
+        18,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_golden_outcome(kind):
+    gt = np.zeros((9, 12), dtype=np.uint8)
+    gt[2:7, 2:10] = 1
+    outcome = corrupt_outcome(gt, CorruptionModel(kind, budget=30, seed=2024))
+    rows, hamming_want, clamped_want = GOLDEN_OUTCOMES[kind]
+    assert ["".join(map(str, row)) for row in outcome.mask] == rows
+    assert outcome.hamming == hamming_want
+    assert outcome.clamped is clamped_want
+
+
 class TestGuaranteeTrial:
     def test_zero_budget_zero_gamma_always_passes(self):
         for seed in range(10):

@@ -121,6 +121,13 @@ class TestPlacement:
         mask = generate_shape_mask("circle", 12, None, (60, 60))
         assert popcount(mask) > 0
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_more_than_half_of_n_squared(self, kind):
+        # generate_shape_mask rejects n*n > 2*H*W before drawing, on this bound
+        for n in range(1, 9):
+            mask = generate_shape_mask(kind, n, None, (3 * n + 20, 3 * n + 20))
+            assert 2 * popcount(mask) > n * n
+
     def test_invalid_sizes_raise(self):
         with pytest.raises(ValueError):
             generate_shape_mask(ShapeKind.SQUARE, 0, None, (10, 10))
