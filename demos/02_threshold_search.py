@@ -12,7 +12,7 @@ from maskcomplete import (
     CorruptionKind,
     CorruptionModel,
     GammaSchedule,
-    corrupt,
+    corrupt_outcome,
     gamma_search,
     popcount,
 )
@@ -27,7 +27,7 @@ truth[12:24, 14:26] = 1  # a 12x12 patch
 
 for budget in (0, 20, 60):
     model = CorruptionModel(CorruptionKind.UNIFORM_FLIP, budget, seed=5)
-    observed = corrupt(truth, model)
+    observed = corrupt_outcome(truth, model).mask
     completed, report = gamma_search(observed, sizes, schedule)
     covered = not np.any(truth & ~completed)
     print(

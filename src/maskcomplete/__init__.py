@@ -12,11 +12,9 @@ from .bench import run_benchmark
 from .completion import (
     CompletionReport,
     GammaSchedule,
-    apply_mask,
     complete_fixed_gamma,
     complete_single_size,
     distance_cutoff,
-    final_mask,
     gamma_search,
     normalize_sizes,
 )
@@ -26,18 +24,16 @@ from .corruption import (
     CorruptionModel,
     CorruptionOutcome,
     TrialRecord,
-    corrupt,
     corrupt_outcome,
     guarantee_trial,
 )
-from .masks import (
+from .masks import as_mask, integral_image, popcount, union
+from .oracle import (
     PatchCandidate,
-    as_mask,
-    integral_image,
-    popcount,
-    union,
+    oracle_complete_multi,
+    oracle_complete_single,
+    oracle_min_distance,
 )
-from .oracle import oracle_complete_multi, oracle_complete_single, oracle_min_distance
 from .pbm import PBMFormatError, decode_pbm, encode_pbm, read_pbm, write_pbm
 from .shapes import ShapeKind, generate_shape_mask
 
@@ -45,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "PatchCandidate",
     "as_mask",
     "popcount",
     "union",
@@ -59,8 +54,7 @@ __all__ = [
     "complete_single_size",
     "complete_fixed_gamma",
     "gamma_search",
-    "final_mask",
-    "apply_mask",
+    "PatchCandidate",
     "oracle_complete_single",
     "oracle_complete_multi",
     "oracle_min_distance",
@@ -69,7 +63,6 @@ __all__ = [
     "CorruptionModel",
     "CorruptionOutcome",
     "TrialRecord",
-    "corrupt",
     "corrupt_outcome",
     "guarantee_trial",
     "PBMFormatError",

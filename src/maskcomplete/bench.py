@@ -92,6 +92,8 @@ def run_benchmark(
     """
     canvases = sorted(int(c) for c in canvases)
     sizes = sorted(int(s) for s in sizes)
+    if not canvases or canvases[0] < 1:
+        raise ValueError(f"canvases must be >= 1, got {canvases}")
     if repeats < 1 or oracle_repeats < 1:
         raise ValueError("repetition counts must be >= 1")
 

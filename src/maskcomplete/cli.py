@@ -15,6 +15,7 @@ error, 3 I/O or file-format error.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -27,7 +28,6 @@ from .completion import (
     GammaSchedule,
     complete_fixed_gamma,
     distance_cutoff,
-    final_mask,
     gamma_search,
     normalize_sizes,
 )
@@ -38,7 +38,7 @@ from .corruption import (
     corrupt_outcome,
     guarantee_trial,
 )
-from .masks import popcount
+from .masks import popcount, union
 from .oracle import oracle_complete_multi
 from .pbm import PBMFormatError, atomic_write_text, read_pbm, write_pbm
 from .shapes import ShapeKind, generate_shape_mask
@@ -112,7 +112,7 @@ def _cmd_complete(args):
 
     out, written = completed, report.output_popcount
     if args.union_ps:
-        out = final_mask(observed, completed)
+        out = union(observed, completed)
         written = popcount(out)
     write_pbm(out, args.output, fmt=fmt)
 
@@ -378,9 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A parser holds no state between parse_args calls, so one serves every
+# main() call of the process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (PBMFormatError, OSError) as exc:
@@ -388,6 +392,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -15,17 +15,18 @@ lookup.
 
 The distance from the observation to each window does not depend on gamma,
 so a search over several thresholds needs only each size's minimum
-distance: the first threshold whose cutoff reaches some size's minimum is
-the first with a nonempty completion, and the cover is built once, there.
+distance d: the first threshold at or above the smallest d / s**2 is the
+first with a nonempty completion, and the cover is built once, there.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .masks import as_mask, integral_image, popcount, union
+from .masks import as_mask, integral_image, popcount
 
 __all__ = [
     "GammaSchedule",
@@ -35,8 +36,6 @@ __all__ = [
     "complete_single_size",
     "complete_fixed_gamma",
     "gamma_search",
-    "final_mask",
-    "apply_mask",
 ]
 
 
@@ -104,7 +103,8 @@ class GammaSchedule:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not 0 < self.beta < 1:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.t_max < 1:
+        # iterations_run can be t_max itself, so it must be a true integer.
+        if operator.index(self.t_max) < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
 
     def gamma(self, t: int) -> Fraction:
@@ -114,10 +114,6 @@ class GammaSchedule:
         a = Fraction(str(self.alpha))
         b = Fraction(str(self.beta))
         return 1 - a * b ** (t - 1)
-
-    def gammas(self) -> tuple:
-        """All thresholds gamma_1 < gamma_2 < ... < gamma_t_max."""
-        return tuple(self.gamma(t) for t in range(1, self.t_max + 1))
 
 
 @dataclass(frozen=True)
@@ -202,14 +198,17 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
     return _cover(_distances(integral_image(mask), s) <= cutoff, s)
 
 
-def _complete(mask, sizes, gammas):
-    """Multi-size completion at the first of ``gammas`` with a nonempty result.
+def _complete(mask, sizes, gamma_at, t_max):
+    """Multi-size completion at the first step t <= t_max with a nonempty result.
 
-    Each fitting size's minimum window distance decides, without building
-    any cover, whether a threshold accepts a window of that size.  Only the
-    sizes accepted at the chosen threshold get their cover built.
-    ``gammas`` is consumed lazily, each validated as its step is reached,
-    so a long schedule that stops early never computes its later steps.
+    A window of size s is accepted at threshold gamma iff its distance is at
+    most floor(gamma * s**2); distances are integers, so that holds iff
+    gamma >= d / s**2.  The smallest ratio of a size's minimum window
+    distance to s**2 therefore decides every step at once: the search stops
+    at the first ``gamma_at(t)`` that reaches it.  No gamma below 1 reaches
+    a ratio of 1, so a mask whose ratio is 1 (blank, or no size fits) is
+    answered without computing any threshold.  Only the sizes accepted at
+    the chosen threshold get their cover built.
     """
     H, W = mask.shape
     fitting = [s for s in sizes if s <= H and s <= W]
@@ -219,13 +218,15 @@ def _complete(mask, sizes, gammas):
     table = integral_image(mask)
     # One distance plane alive at a time: only its minimum is kept.
     d_min = {s: int(_distances(table, s).min()) for s in fitting}
-    step, gamma, hits = 0, None, []
-    for step, g in enumerate(gammas, start=1):
-        g = _exact_gamma(g)
-        hits = [s for s in fitting if d_min[s] <= int(g * (s * s))]
-        if hits:
-            gamma = g
-            break
+    rho = min((Fraction(d, s * s) for s, d in d_min.items()), default=Fraction(1))
+    step, gamma, hits = t_max, None, []
+    if rho < 1:
+        for t in range(1, t_max + 1):
+            g = gamma_at(t)
+            if g >= rho:
+                step, gamma = t, g
+                hits = [s for s in fitting if d_min[s] <= int(g * (s * s))]
+                break
 
     out = np.zeros((H, W), dtype=np.uint8)
     for s in hits:
@@ -254,7 +255,9 @@ def complete_fixed_gamma(observed, sizes, gamma):
     -------
     (ndarray, CompletionReport)
     """
-    return _complete(as_mask(observed), normalize_sizes(sizes), (gamma,))
+    mask, sizes = as_mask(observed), normalize_sizes(sizes)
+    g = _exact_gamma(gamma)
+    return _complete(mask, sizes, lambda t: g, 1)
 
 
 def gamma_search(observed, sizes, schedule=GammaSchedule()):
@@ -269,24 +272,5 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     -------
     (ndarray, CompletionReport)
     """
-    gammas = map(schedule.gamma, range(1, schedule.t_max + 1))
-    return _complete(as_mask(observed), normalize_sizes(sizes), gammas)
-
-
-def final_mask(observed, completed) -> np.ndarray:
-    """Union of the observation and its completion.
-
-    The completion can be empty when the observation matches no candidate
-    placement (e.g. a non-square artifact); keeping the observed pixels in
-    the final mask means those detections are still acted upon.
-    """
-    return union(observed, completed)
-
-
-def apply_mask(base, mask) -> np.ndarray:
-    """Zero out the pixels of ``base`` selected by ``mask`` (a AND NOT m)."""
-    a = as_mask(base)
-    m = as_mask(mask)
-    if a.shape != m.shape:
-        raise ValueError(f"mask dimensions differ: {a.shape} vs {m.shape}")
-    return a & (1 - m)
+    mask, sizes = as_mask(observed), normalize_sizes(sizes)
+    return _complete(mask, sizes, schedule.gamma, schedule.t_max)

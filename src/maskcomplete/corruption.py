@@ -23,7 +23,6 @@ __all__ = [
     "CorruptionModel",
     "CorruptionOutcome",
     "TrialRecord",
-    "corrupt",
     "corrupt_outcome",
     "guarantee_trial",
 ]
@@ -178,11 +177,6 @@ def corrupt_outcome(gt_mask, model) -> CorruptionOutcome:
     return CorruptionOutcome(
         mask=out, hamming=int(hamming), clamped=bool(clamped), seed=model.seed
     )
-
-
-def corrupt(gt_mask, model) -> np.ndarray:
-    """Corrupted observation of ``gt_mask`` (see :func:`corrupt_outcome`)."""
-    return corrupt_outcome(gt_mask, model).mask
 
 
 def guarantee_trial(s, canvas, gamma, model) -> TrialRecord:

@@ -6,25 +6,14 @@ convention).  Every count in this module is computed in plain
 integer arithmetic; no floating point is involved anywhere.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
-    "PatchCandidate",
     "as_mask",
     "popcount",
     "union",
     "integral_image",
 ]
-
-
-class PatchCandidate(NamedTuple):
-    """An s-by-s square window with top-left corner at (row, col)."""
-
-    size: int
-    row: int
-    col: int
 
 
 def as_mask(a) -> np.ndarray:

@@ -14,16 +14,24 @@ that walks the entire image per candidate.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .masks import PatchCandidate
-
 __all__ = [
+    "PatchCandidate",
     "oracle_complete_single",
     "oracle_complete_multi",
     "oracle_min_distance",
 ]
+
+
+class PatchCandidate(NamedTuple):
+    """An s-by-s square window with top-left corner at (row, col)."""
+
+    size: int
+    row: int
+    col: int
 
 
 def _as_ratio(gamma):
@@ -53,6 +61,20 @@ def _as_bit_rows(mask):
     return rows
 
 
+def _window_distances(bits, s):
+    """Yield ``(row, col, distance)`` for every s-by-s window, row-major."""
+    H = len(bits)
+    W = len(bits[0])
+    total = sum(sum(row) for row in bits)
+    for i in range(H - s + 1):
+        window_rows = bits[i : i + s]
+        for j in range(W - s + 1):
+            inside = 0
+            for row in window_rows:
+                inside += sum(row[j : j + s])
+            yield i, j, s * s + total - 2 * inside
+
+
 def oracle_complete_single(observed, size, gamma) -> np.ndarray:
     """Reference completion: try every window, OR in the accepted ones."""
     num, den = _as_ratio(gamma)
@@ -66,19 +88,11 @@ def oracle_complete_single(observed, size, gamma) -> np.ndarray:
     if s > H or s > W:
         return np.array(out, dtype=np.uint8)
 
-    total = sum(sum(row) for row in bits)
-    s_sq = s * s
-    for i in range(H - s + 1):
-        window_rows = bits[i : i + s]
-        for j in range(W - s + 1):
-            inside = 0
-            for row in window_rows:
-                inside += sum(row[j : j + s])
-            dist = s_sq + total - 2 * inside
-            # accept iff dist / s^2 <= num / den, in exact integer form
-            if dist * den <= num * s_sq:
-                for out_row in out[i : i + s]:
-                    out_row[j : j + s] = [1] * s
+    for i, j, dist in _window_distances(bits, s):
+        # accept iff dist / s^2 <= num / den, in exact integer form
+        if dist * den <= num * s * s:
+            for out_row in out[i : i + s]:
+                out_row[j : j + s] = [1] * s
     return np.array(out, dtype=np.uint8)
 
 
@@ -109,18 +123,6 @@ def oracle_min_distance(observed, size):
     if s > H or s > W:
         raise ValueError(f"no {s}x{s} candidate fits in a {H}x{W} mask")
 
-    total = sum(sum(row) for row in bits)
-    s_sq = s * s
-    best_dist = None
-    best_cand = None
-    for i in range(H - s + 1):
-        window_rows = bits[i : i + s]
-        for j in range(W - s + 1):
-            inside = 0
-            for row in window_rows:
-                inside += sum(row[j : j + s])
-            dist = s_sq + total - 2 * inside
-            if best_dist is None or dist < best_dist:
-                best_dist = dist
-                best_cand = PatchCandidate(size=s, row=i, col=j)
-    return best_dist, best_cand
+    # min keeps the first of equal keys, so ties go to the row-major first
+    i, j, dist = min(_window_distances(bits, s), key=lambda w: w[2])
+    return dist, PatchCandidate(size=s, row=i, col=j)

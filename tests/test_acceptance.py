@@ -23,7 +23,7 @@ from maskcomplete import (
     GammaSchedule,
     complete_fixed_gamma,
     complete_single_size,
-    corrupt,
+    corrupt_outcome,
     decode_pbm,
     distance_cutoff,
     encode_pbm,
@@ -242,7 +242,8 @@ def test_criterion_6_determinism_and_round_trip(tmp_path, capfd):
                 bad_round_trips += 1
 
     gt = generate_shape_mask("square", 16, (10, 12), (48, 48))
-    observed = corrupt(gt, CorruptionModel(CorruptionKind.UNIFORM_FLIP, 19, seed=7))
+    model = CorruptionModel(CorruptionKind.UNIFORM_FLIP, 19, seed=7)
+    observed = corrupt_outcome(gt, model).mask
     src = tmp_path / "observed.pbm"
     write_pbm(observed, src)
     out = tmp_path / "completed.pbm"

@@ -19,12 +19,13 @@ from maskcomplete import (
     CorruptionKind,
     CorruptionModel,
     GammaSchedule,
-    corrupt,
+    corrupt_outcome,
     gamma_search,
     generate_shape_mask,
     read_pbm,
     write_pbm,
 )
+import maskcomplete.cli as cli
 from maskcomplete.cli import main
 
 
@@ -37,7 +38,7 @@ def corrupted_fixture(tmp_path):
     """A 16-pixel square patch on 48x48 with 19 pixels flipped, on disk."""
     gt = generate_shape_mask("square", 16, (10, 12), (48, 48))
     model = CorruptionModel(CorruptionKind.UNIFORM_FLIP, budget=19, seed=42)
-    observed = corrupt(gt, model)
+    observed = corrupt_outcome(gt, model).mask
     path = tmp_path / "observed.pbm"
     write_pbm(observed, path)
     return path, observed
@@ -412,6 +413,12 @@ class TestBench:
         assert code == 0
         assert "oracle " not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("canvases", ["0", "-5", "48,0"])
+    def test_canvas_below_one_is_usage_error(self, capsys, canvases):
+        code = run_cli("bench", f"--canvases={canvases}", "--sizes", "8", "--no-oracle")
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: canvases must be >= 1")
+
 
 class TestErrorHandling:
     def test_missing_input_is_io_error(self, tmp_path):
@@ -455,6 +462,29 @@ class TestErrorHandling:
         code = run_cli("complete", path, "-o", tmp_path / "o.pbm", "--sizes", "8,oops")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,target,exc,message",
+        [
+            (["bench", "--canvases", "100000", "--sizes", "8", "--no-oracle"],
+             "run_benchmark", MemoryError("Unable to allocate 74.5 GiB"),
+             "Unable to allocate 74.5 GiB"),
+            (["gen", "--kind", "square", "--n", "10", "--canvas", "100000x100000",
+              "-o", "unwritten.pbm"],
+             "generate_shape_mask", MemoryError(), "out of memory"),
+        ],
+        ids=["bench", "gen"],
+    )
+    def test_out_of_memory_is_usage_error(
+        self, monkeypatch, capsys, argv, target, exc, message
+    ):
+        # The command's allocation fails without being made.
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, target, fail)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("frobnicate")
@@ -463,8 +493,10 @@ class TestErrorHandling:
 
 # Numeric CLI arguments: small values, zero, negatives and huge ints; floats
 # include nan and +-inf.  Canvases stay <= 256 and --trials <= 3, so that no
-# example allocates more than a few MB.  --t-max stays small because a
-# no-attack run walks every step of the schedule.
+# example allocates more than a few MB.  A blank input is answered without
+# walking the schedule, so its --t-max goes up to 10**9; on the patch input
+# --t-max stays <= 30, because with a --beta near 1 the schedule can take
+# millions of steps to reach the patch.
 INTS = st.one_of(
     st.integers(-3, 40), st.sampled_from([-(10**20), 2**63, 10**20, 2**64 + 1])
 )
@@ -527,14 +559,16 @@ class TestNumericArguments:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        source=st.sampled_from(["patch.pbm", "blank.pbm"]),
+        source_t_max=st.tuples(st.just("patch.pbm"), st.integers(-2, 30))
+        | st.tuples(st.just("blank.pbm"), st.integers(-2, 10**9)),
         sizes=st.lists(INTS, min_size=1, max_size=4),
-        alpha=FLOATS, beta=FLOATS, t_max=st.integers(-2, 30),
+        alpha=FLOATS, beta=FLOATS,
         fixed_gamma=st.none() | FLOATS, union_ps=st.booleans(),
     )
     def test_complete(
-        self, fuzz_dir, source, sizes, alpha, beta, t_max, fixed_gamma, union_ps
+        self, fuzz_dir, source_t_max, sizes, alpha, beta, fixed_gamma, union_ps
     ):
+        source, t_max = source_t_max
         argv = ["complete", fuzz_dir / source, "-o", fuzz_dir / "complete.pbm",
                 f"--sizes={','.join(map(str, sizes))}", f"--alpha={alpha}",
                 f"--beta={beta}", f"--t-max={t_max}",
@@ -558,3 +592,8 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert int(read_pbm(out).sum()) == 16
+
+
+def test_parser_built_once_per_process():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()

@@ -14,11 +14,9 @@ from conftest import planted_patch, random_mask
 from maskcomplete import (
     CompletionReport,
     GammaSchedule,
-    apply_mask,
     complete_fixed_gamma,
     complete_single_size,
     distance_cutoff,
-    final_mask,
     gamma_search,
     generate_shape_mask,
     integral_image,
@@ -71,8 +69,7 @@ class TestGammaSchedule:
         assert (sched.alpha, sched.beta, sched.t_max) == (0.9, 0.7, 15)
 
     def test_strictly_increasing_below_one(self):
-        gammas = GammaSchedule().gammas()
-        assert len(gammas) == 15
+        gammas = [GammaSchedule().gamma(t) for t in range(1, 16)]
         assert all(a < b for a, b in zip(gammas, gammas[1:]))
         assert all(0 < g < 1 for g in gammas)
 
@@ -93,6 +90,11 @@ class TestGammaSchedule:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             GammaSchedule(**kwargs)
+
+    @pytest.mark.parametrize("t_max", [2.5, 3.0, "3"])
+    def test_t_max_must_be_an_integer(self, t_max):
+        with pytest.raises(TypeError):
+            GammaSchedule(t_max=t_max)
 
     def test_step_out_of_range(self):
         sched = GammaSchedule(t_max=3)
@@ -305,6 +307,31 @@ class TestGammaSearch:
         _, report = gamma_search(mask, [8], GammaSchedule(t_max=10**5))
         assert report.iterations_run == 1
 
+    @pytest.mark.parametrize(
+        "strays", [(), ((0, 0), (0, 23), (23, 0), (23, 23))], ids=["blank", "corners"]
+    )
+    def test_unreachable_ratio_computes_no_step(self, monkeypatch, strays):
+        # Blank, or strays no window holds more than half of: every size's
+        # minimum distance is at least s^2, which no gamma < 1 reaches, so
+        # the answer needs no threshold at all, however long the schedule.
+        def no_step(self, t):
+            raise AssertionError(f"gamma({t}) computed")
+
+        monkeypatch.setattr(GammaSchedule, "gamma", no_step)
+        mask = np.zeros((24, 24), dtype=np.uint8)
+        for r, c in strays:
+            mask[r, c] = 1
+        out, report = gamma_search(mask, [8, 12, 40], GammaSchedule(t_max=10**6))
+        assert not out.any()
+        assert report == CompletionReport(
+            attack_found=False,
+            gamma_used=None,
+            iterations_run=10**6,
+            per_size_accepted={8: 0, 12: 0, 40: 0},
+            skipped_sizes=(40,),
+            output_popcount=0,
+        )
+
     def test_deterministic(self, rng):
         mask = planted_patch(rng, 30, 30, 7, flips=12)
         out1, rep1 = gamma_search(mask, [5, 7])
@@ -357,8 +384,8 @@ class TestGammaSearch:
             stop = next(
                 (
                     t
-                    for t, g in enumerate(sched.gammas(), start=1)
-                    if any(d <= int(g * s * s) for s, d in d_min.items())
+                    for t in range(1, sched.t_max + 1)
+                    if any(d <= int(sched.gamma(t) * s * s) for s, d in d_min.items())
                 ),
                 None,
             )
@@ -454,43 +481,30 @@ class TestMonotonicityAndSymmetry:
 
 
 class TestFinalAndApply:
+    """The final mask is the union of the observation and its completion."""
+
     def test_final_mask_with_empty_completion(self, rng):
         observed = random_mask(rng, 9, 9, density=0.2)
         empty = np.zeros_like(observed)
-        assert np.array_equal(final_mask(observed, empty), observed)
+        assert np.array_equal(union(observed, empty), observed)
 
     def test_final_mask_superset_case(self, rng):
         observed = np.zeros((12, 12), dtype=np.uint8)
         observed[4:7, 4:7] = 1
         completed = np.zeros_like(observed)
         completed[3:9, 3:9] = 1
-        assert np.array_equal(final_mask(observed, completed), completed)
+        assert np.array_equal(union(observed, completed), completed)
 
     def test_final_mask_inclusion_exclusion(self):
         circle = generate_shape_mask("circle", 12, (2, 2), (40, 40))
         square = generate_shape_mask("square", 10, (10, 10), (40, 40))
-        out = final_mask(circle, square)
+        out = union(circle, square)
         overlap = popcount(circle & square)
         assert popcount(out) == popcount(circle) + popcount(square) - overlap
 
-    def test_apply_mask_trivial(self, rng):
-        base = random_mask(rng, 7, 7)
-        assert np.array_equal(apply_mask(base, np.zeros_like(base)), base)
-        assert not apply_mask(base, np.ones_like(base)).any()
-
-    def test_apply_mask_elementwise(self, rng):
-        base = random_mask(rng, 9, 6)
-        mask = random_mask(rng, 9, 6)
-        out = apply_mask(base, mask)
-        for i in range(9):
-            for j in range(6):
-                assert out[i, j] == (base[i, j] and not mask[i, j])
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            final_mask(np.zeros((2, 2), np.uint8), np.zeros((3, 3), np.uint8))
-        with pytest.raises(ValueError):
-            apply_mask(np.zeros((2, 2), np.uint8), np.zeros((2, 3), np.uint8))
+            union(np.zeros((2, 2), np.uint8), np.zeros((3, 3), np.uint8))
 
 
 class TestReportInvariants:

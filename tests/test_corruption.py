@@ -8,7 +8,6 @@ import pytest
 from maskcomplete import (
     CorruptionKind,
     CorruptionModel,
-    corrupt,
     corrupt_outcome,
     distance_cutoff,
     generate_shape_mask,
@@ -36,7 +35,7 @@ class TestBudgetZero:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_identity(self, kind):
         gt = square_patch()
-        out = corrupt(gt, CorruptionModel(kind, budget=0, seed=3))
+        out = corrupt_outcome(gt, CorruptionModel(kind, budget=0, seed=3)).mask
         assert np.array_equal(out, gt)
 
 
@@ -62,7 +61,8 @@ class TestUniformFlip:
 
     def test_works_on_empty_mask(self):
         empty = np.zeros((10, 10), dtype=np.uint8)
-        out = corrupt(empty, CorruptionModel(CorruptionKind.UNIFORM_FLIP, 5, seed=4))
+        model = CorruptionModel(CorruptionKind.UNIFORM_FLIP, 5, seed=4)
+        out = corrupt_outcome(empty, model).mask
         assert popcount(out) == 5
 
 
@@ -88,7 +88,7 @@ class TestErodeBoundary:
 
     def test_requires_nonzero_mask(self):
         with pytest.raises(ValueError):
-            corrupt(
+            corrupt_outcome(
                 np.zeros((6, 6), dtype=np.uint8),
                 CorruptionModel(CorruptionKind.ERODE_BOUNDARY, 1, seed=0),
             )
@@ -107,7 +107,8 @@ class TestDilateOutside:
 
     def test_added_pixels_touch_the_patch_for_small_budgets(self):
         gt = square_patch(size=6, canvas=30, at=(12, 12))
-        out = corrupt(gt, CorruptionModel(CorruptionKind.DILATE_OUTSIDE, 5, seed=13))
+        model = CorruptionModel(CorruptionKind.DILATE_OUTSIDE, 5, seed=13)
+        out = corrupt_outcome(gt, model).mask
         added = np.argwhere(out & ~gt)
         for r, c in added:
             neighborhood = gt[max(0, r - 1) : r + 2, max(0, c - 1) : c + 2]
@@ -160,7 +161,7 @@ class TestSplitHole:
 
     def test_requires_nonzero_mask(self):
         with pytest.raises(ValueError):
-            corrupt(
+            corrupt_outcome(
                 np.zeros((6, 6), dtype=np.uint8),
                 CorruptionModel(CorruptionKind.SPLIT_HOLE, 4, seed=0),
             )
@@ -171,12 +172,16 @@ class TestDeterminismAndBudget:
     def test_same_seed_same_output(self, kind):
         gt = square_patch()
         model = CorruptionModel(kind, budget=40, seed=123)
-        assert np.array_equal(corrupt(gt, model), corrupt(gt, model))
+        assert np.array_equal(
+            corrupt_outcome(gt, model).mask, corrupt_outcome(gt, model).mask
+        )
 
     def test_different_seeds_usually_differ(self):
         gt = square_patch()
         outs = [
-            corrupt(gt, CorruptionModel(CorruptionKind.UNIFORM_FLIP, 30, seed=s))
+            corrupt_outcome(
+                gt, CorruptionModel(CorruptionKind.UNIFORM_FLIP, 30, seed=s)
+            ).mask
             for s in range(5)
         ]
         assert any(not np.array_equal(outs[0], o) for o in outs[1:])
