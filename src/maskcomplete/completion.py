@@ -16,12 +16,15 @@ lookup.
 The distance from the observation to each window does not depend on gamma,
 so a search over several thresholds needs only each size's minimum
 distance d: the first threshold at or above the smallest d / s**2 is the
-first with a nonempty completion, and the cover is built once, there.
+first with a nonempty completion, and the cover is built once, there.  The
+geometric schedule is inverted for that ratio in closed form, so finding
+the step costs one exact threshold, not a walk over the steps before it.
 """
 
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -107,13 +110,46 @@ class GammaSchedule:
         if operator.index(self.t_max) < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
 
+    @cached_property
+    def _exact(self):
+        return Fraction(str(self.alpha)), Fraction(str(self.beta))
+
+    @staticmethod
+    def _log(q: Fraction) -> float:
+        # log1p keeps a beta within ulps of 1 accurate; integer logs never overflow.
+        if abs(q - 1) < 0.5:
+            return math.log1p(float(q - 1))
+        return math.log(q.numerator) - math.log(q.denominator)
+
     def gamma(self, t: int) -> Fraction:
         """Exact threshold for step t (1-based)."""
+        t = operator.index(t)
         if not 1 <= t <= self.t_max:
             raise ValueError(f"step must lie in [1, {self.t_max}], got {t}")
-        a = Fraction(str(self.alpha))
-        b = Fraction(str(self.beta))
+        a, b = self._exact
         return 1 - a * b ** (t - 1)
+
+    def _first_step(self, rho):
+        """First step t with gamma_t >= rho, as (t, gamma_t); (t_max, None) if none.
+
+        gamma_t >= rho iff alpha * beta**(t-1) <= 1 - rho, so a float
+        logarithm estimates t and exact comparisons beside the estimate
+        settle it.  Only the steps next to the stop are computed, each with
+        O(t * digits(beta)) digits, and none when the estimate lies past t_max.
+        """
+        if rho >= 1:
+            return self.t_max, None
+        a, b = self._exact
+        steps = self._log((1 - rho) / a) / self._log(b)
+        if steps > self.t_max:
+            return self.t_max, None
+        t = 1 + max(0, math.ceil(steps))
+        while t > 1 and self.gamma(t - 1) >= rho:
+            t -= 1
+        for t in range(t, self.t_max + 1):
+            if (g := self.gamma(t)) >= rho:
+                return t, g
+        return self.t_max, None
 
 
 @dataclass(frozen=True)
@@ -198,17 +234,17 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
     return _cover(_distances(integral_image(mask), s) <= cutoff, s)
 
 
-def _complete(mask, sizes, gamma_at, t_max):
-    """Multi-size completion at the first step t <= t_max with a nonempty result.
+def _complete(mask, sizes, first_step):
+    """Multi-size completion at the first threshold with a nonempty result.
 
     A window of size s is accepted at threshold gamma iff its distance is at
     most floor(gamma * s**2); distances are integers, so that holds iff
-    gamma >= d / s**2.  The smallest ratio of a size's minimum window
-    distance to s**2 therefore decides every step at once: the search stops
-    at the first ``gamma_at(t)`` that reaches it.  No gamma below 1 reaches
-    a ratio of 1, so a mask whose ratio is 1 (blank, or no size fits) is
-    answered without computing any threshold.  Only the sizes accepted at
-    the chosen threshold get their cover built.
+    gamma >= d / s**2.  The smallest ratio rho of a size's minimum window
+    distance to s**2 therefore decides the search: ``first_step(rho)``
+    returns the step to report and the first threshold that reaches rho,
+    or None in its place when no threshold does.  No gamma below 1 reaches
+    a ratio of 1 (a blank mask, or no size fits).  Only the sizes accepted
+    at the chosen threshold get their cover built.
     """
     H, W = mask.shape
     fitting = [s for s in sizes if s <= H and s <= W]
@@ -219,23 +255,18 @@ def _complete(mask, sizes, gamma_at, t_max):
     # One distance plane alive at a time: only its minimum is kept.
     d_min = {s: int(_distances(table, s).min()) for s in fitting}
     rho = min((Fraction(d, s * s) for s, d in d_min.items()), default=Fraction(1))
-    step, gamma, hits = t_max, None, []
-    if rho < 1:
-        for t in range(1, t_max + 1):
-            g = gamma_at(t)
-            if g >= rho:
-                step, gamma = t, g
-                hits = [s for s in fitting if d_min[s] <= int(g * (s * s))]
-                break
+    step, gamma = first_step(rho)
+    cutoffs = {} if gamma is None else {s: int(gamma * (s * s)) for s in fitting}
 
     out = np.zeros((H, W), dtype=np.uint8)
-    for s in hits:
-        accept = _distances(table, s) <= int(gamma * (s * s))
-        accepted[s] = int(np.count_nonzero(accept))
-        out |= _cover(accept, s)
+    for s, cutoff in cutoffs.items():
+        if d_min[s] <= cutoff:
+            accept = _distances(table, s) <= cutoff
+            accepted[s] = int(np.count_nonzero(accept))
+            out |= _cover(accept, s)
     report = CompletionReport(
-        attack_found=bool(hits),
-        gamma_used=float(gamma) if hits else None,
+        attack_found=gamma is not None,
+        gamma_used=None if gamma is None else float(gamma),
         iterations_run=step,
         per_size_accepted=accepted,
         skipped_sizes=skipped,
@@ -247,9 +278,10 @@ def _complete(mask, sizes, gamma_at, t_max):
 def complete_fixed_gamma(observed, sizes, gamma):
     """Multi-size completion at a single fixed threshold, with a report.
 
-    The output is the union of :func:`complete_single_size` over the sizes;
-    the report mirrors the one produced by :func:`gamma_search` for a
-    one-step schedule.
+    The output is the union of :func:`complete_single_size` over the sizes.
+    The report has the fields of :func:`gamma_search`'s, with
+    ``iterations_run`` always 1 and ``gamma_used`` set only when some size
+    accepts a window.
 
     Returns
     -------
@@ -257,20 +289,22 @@ def complete_fixed_gamma(observed, sizes, gamma):
     """
     mask, sizes = as_mask(observed), normalize_sizes(sizes)
     g = _exact_gamma(gamma)
-    return _complete(mask, sizes, lambda t: g, 1)
+    return _complete(mask, sizes, lambda rho: (1, g if g >= rho else None))
 
 
 def gamma_search(observed, sizes, schedule=GammaSchedule()):
-    """Run the threshold schedule until the completion is nonempty.
+    """Complete at the first step of the threshold schedule with a nonempty result.
 
     Returns the multi-size completion at the first of gamma_1 < gamma_2 <
     ... that yields a nonzero mask, together with a report.  If every step
     comes back empty, the observation is taken to contain no patch at all
-    and the empty mask is returned with ``attack_found=False``.
+    and the empty mask is returned with ``attack_found=False``.  The step
+    is found in closed form; its cost is one exact gamma_t, whose digits
+    grow as O(t * digits(beta)).
 
     Returns
     -------
     (ndarray, CompletionReport)
     """
     mask, sizes = as_mask(observed), normalize_sizes(sizes)
-    return _complete(mask, sizes, schedule.gamma, schedule.t_max)
+    return _complete(mask, sizes, schedule._first_step)

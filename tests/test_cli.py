@@ -559,16 +559,15 @@ class TestNumericArguments:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        source_t_max=st.tuples(st.just("patch.pbm"), st.integers(-2, 30))
-        | st.tuples(st.just("blank.pbm"), st.integers(-2, 10**9)),
+        source=st.sampled_from(["patch.pbm", "blank.pbm"]),
+        t_max=st.integers(-2, 10**9),
         sizes=st.lists(INTS, min_size=1, max_size=4),
         alpha=FLOATS, beta=FLOATS,
         fixed_gamma=st.none() | FLOATS, union_ps=st.booleans(),
     )
     def test_complete(
-        self, fuzz_dir, source_t_max, sizes, alpha, beta, fixed_gamma, union_ps
+        self, fuzz_dir, source, t_max, sizes, alpha, beta, fixed_gamma, union_ps
     ):
-        source, t_max = source_t_max
         argv = ["complete", fuzz_dir / source, "-o", fuzz_dir / "complete.pbm",
                 f"--sizes={','.join(map(str, sizes))}", f"--alpha={alpha}",
                 f"--beta={beta}", f"--t-max={t_max}",

@@ -96,6 +96,11 @@ class TestGammaSchedule:
         with pytest.raises(TypeError):
             GammaSchedule(t_max=t_max)
 
+    @pytest.mark.parametrize("t", [2.5, 2.0, "2"])
+    def test_step_must_be_an_integer(self, t):
+        with pytest.raises(TypeError):
+            GammaSchedule().gamma(t)
+
     def test_step_out_of_range(self):
         sched = GammaSchedule(t_max=3)
         with pytest.raises(ValueError):
@@ -331,6 +336,47 @@ class TestGammaSearch:
             skipped_sizes=(40,),
             output_popcount=0,
         )
+
+    @staticmethod
+    def _half_patch():
+        # six full rows of a 12x12 patch: every window's distance is at least 72,
+        # so the ratio is exactly 72 / 144 = 1/2
+        mask = np.zeros((40, 40), dtype=np.uint8)
+        mask[10:16, 10:22] = 1
+        return mask
+
+    def test_beta_near_one_computes_only_the_steps_beside_the_stop(self, monkeypatch):
+        # The stop is near step 58,780; walking the schedule there computes
+        # every step's exact gamma, each with digits growing with t.
+        calls = []
+        gamma = GammaSchedule.gamma
+
+        def counted(self, t):
+            calls.append(t)
+            return gamma(self, t)
+
+        monkeypatch.setattr(GammaSchedule, "gamma", counted)
+        sched = GammaSchedule(beta=0.99999, t_max=10**7)
+        mask = self._half_patch()
+        out, report = gamma_search(mask, [12], sched)
+        assert len(calls) <= 3
+        t = report.iterations_run
+        g = gamma(sched, t)
+        assert gamma(sched, t - 1) < Fraction(1, 2) <= g
+        assert report.gamma_used == float(g)
+        assert np.array_equal(out, oracle_complete_single(mask, 12, g))
+
+    def test_stop_past_t_max_computes_no_step(self, monkeypatch):
+        # 1 - 0.9 * beta**(t-1) first reaches 1/2 near t = 6e15, far past t_max.
+        def no_step(self, t):
+            raise AssertionError(f"gamma({t}) computed")
+
+        monkeypatch.setattr(GammaSchedule, "gamma", no_step)
+        sched = GammaSchedule(beta=0.9999999999999999, t_max=10**9)
+        out, report = gamma_search(self._half_patch(), [12], sched)
+        assert not out.any()
+        assert not report.attack_found
+        assert report.iterations_run == 10**9
 
     def test_deterministic(self, rng):
         mask = planted_patch(rng, 30, 30, 7, flips=12)
