@@ -27,7 +27,7 @@ from .corruption import (
     corrupt_outcome,
     guarantee_trial,
 )
-from .masks import as_mask, integral_image, popcount, union
+from .masks import as_mask, popcount, union
 from .oracle import (
     PatchCandidate,
     oracle_complete_multi,
@@ -44,7 +44,6 @@ __all__ = [
     "as_mask",
     "popcount",
     "union",
-    "integral_image",
     "ShapeKind",
     "generate_shape_mask",
     "GammaSchedule",

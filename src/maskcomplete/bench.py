@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .completion import complete_single_size
+from .completion import complete_single_size, normalize_sizes
 from .oracle import oracle_complete_single
 
 __all__ = ["BENCH_GAMMA", "bench_fixture", "time_round_robin", "run_benchmark"]
@@ -91,7 +91,7 @@ def run_benchmark(
     to prime.
     """
     canvases = sorted(int(c) for c in canvases)
-    sizes = sorted(int(s) for s in sizes)
+    sizes = normalize_sizes(sizes)
     if not canvases or canvases[0] < 1:
         raise ValueError(f"canvases must be >= 1, got {canvases}")
     if repeats < 1 or oracle_repeats < 1:

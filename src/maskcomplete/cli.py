@@ -256,7 +256,7 @@ def _cmd_trial(args):
 def _cmd_bench(args):
     report = run_benchmark(
         canvases=[int(c) for c in args.canvases.split(",")],
-        sizes=[int(s) for s in args.sizes.split(",")],
+        sizes=_parse_sizes(args.sizes),
         repeats=args.reps,
         oracle_repeats=args.oracle_reps,
         include_oracle=not args.no_oracle,

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .masks import as_mask, integral_image, popcount
+from .masks import as_mask, popcount
 
 __all__ = [
     "GammaSchedule",
@@ -134,8 +134,8 @@ class GammaSchedule:
 
         gamma_t >= rho iff alpha * beta**(t-1) <= 1 - rho, so a float
         logarithm estimates t and exact comparisons beside the estimate
-        settle it.  Only the steps next to the stop are computed, each with
-        O(t * digits(beta)) digits, and none when the estimate lies past t_max.
+        settle it.  One exact power is computed, with O(t * digits(beta))
+        digits, and none when the estimate lies past t_max.
         """
         if rho >= 1:
             return self.t_max, None
@@ -143,13 +143,15 @@ class GammaSchedule:
         steps = self._log((1 - rho) / a) / self._log(b)
         if steps > self.t_max:
             return self.t_max, None
-        t = 1 + max(0, math.ceil(steps))
-        while t > 1 and self.gamma(t - 1) >= rho:
-            t -= 1
-        for t in range(t, self.t_max + 1):
-            if (g := self.gamma(t)) >= rho:
-                return t, g
-        return self.t_max, None
+        t = min(self.t_max, 1 + max(0, math.ceil(steps)))
+        # tail = alpha * beta**(t-1) = 1 - gamma_t; one exact power, then
+        # each neighbouring step is one multiplication or division by beta.
+        tail, limit = 1 - self.gamma(t), 1 - rho
+        while t > 1 and tail / b <= limit:
+            t, tail = t - 1, tail / b
+        while tail > limit and t < self.t_max:
+            t, tail = t + 1, tail * b
+        return (t, 1 - tail) if tail <= limit else (self.t_max, None)
 
 
 @dataclass(frozen=True)
@@ -164,10 +166,27 @@ class CompletionReport:
     output_popcount: int = 0
 
 
+def _summed_area(flags, H, W) -> np.ndarray:
+    """(H+1)×(W+1) int64 summed-area table of ``flags`` at the top-left.
+
+    Entry (i, j) counts the ones in ``flags[:i, :j]``.  Row 0 and column 0
+    are zero, so any box sum is four lookups with no bounds special cases,
+    and past the extent of ``flags`` the rows and columns repeat the last
+    ones.  The running sums are taken in place, so the table is the only
+    plane allocated.
+    """
+    table = np.zeros((H + 1, W + 1), dtype=np.int64)
+    h, w = flags.shape
+    table[1 : h + 1, 1 : w + 1] = flags
+    for plane in (table, table.T):
+        np.cumsum(plane, axis=0, out=plane)
+    return table
+
+
 def _distances(table, s) -> np.ndarray:
     """Hamming distance from the mask to every filled s×s window.
 
-    ``table`` is the mask's :func:`integral_image`; entry (i, j) of the
+    ``table`` is the mask's :func:`_summed_area`; entry (i, j) of the
     result belongs to the window with top-left corner (i, j), which must
     fit: s <= H and s <= W.  With four-corner sums of the ones inside,
     d = s^2 + total - 2 * ones_inside.
@@ -189,19 +208,12 @@ def _cover(accept, s) -> np.ndarray:
     in rows [i-s+1, i] and cols [j-s+1, j]; a summed-area table over the
     flags counts them with running differences along each axis.
     """
-    H, W = accept.shape[0] + s - 1, accept.shape[1] + s - 1
-    # The table spans the full canvas, so its running sums saturate past
-    # the last corner row/col and the differences need no upper clipping.
-    acc = np.zeros((H + 1, W + 1), dtype=np.int64)
-    acc[1 : accept.shape[0] + 1, 1 : accept.shape[1] + 1] = accept
-    np.cumsum(acc, axis=0, out=acc)
-    np.cumsum(acc, axis=1, out=acc)
-    rows = acc[1:].copy()
-    rows[s:] -= acc[1 : H - s + 1]
-    del acc
-    count = rows[:, 1:].copy()
-    count[:, s:] -= rows[:, 1 : W - s + 1]
-    return (count > 0).view(np.uint8)
+    # The table spans the full canvas, so past the last corner row/col its
+    # rows and cols repeat and the differences need no upper clipping.
+    table = _summed_area(accept, accept.shape[0] + s - 1, accept.shape[1] + s - 1)
+    for plane in (table, table.T):
+        plane[s:] -= plane[:-s]
+    return (table[1:, 1:] > 0).view(np.uint8)
 
 
 def complete_single_size(observed, size, gamma) -> np.ndarray:
@@ -231,7 +243,7 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
     H, W = mask.shape
     if s > H or s > W:
         return np.zeros((H, W), dtype=np.uint8)
-    return _cover(_distances(integral_image(mask), s) <= cutoff, s)
+    return _cover(_distances(_summed_area(mask, H, W), s) <= cutoff, s)
 
 
 def _complete(mask, sizes, first_step):
@@ -251,7 +263,7 @@ def _complete(mask, sizes, first_step):
     skipped = tuple(s for s in sizes if s > H or s > W)
     accepted = dict.fromkeys(sizes, 0)
 
-    table = integral_image(mask)
+    table = _summed_area(mask, H, W)
     # One distance plane alive at a time: only its minimum is kept.
     d_min = {s: int(_distances(table, s).min()) for s in fitting}
     rho = min((Fraction(d, s * s) for s, d in d_min.items()), default=Fraction(1))

@@ -190,6 +190,8 @@ def guarantee_trial(s, canvas, gamma, model) -> TrialRecord:
     """
     H, W = int(canvas[0]), int(canvas[1])
     s = int(s)
+    if s < 1:
+        raise ValueError(f"patch size must be >= 1, got {s}")
     if s > H or s > W:
         raise ValueError(f"patch size {s} does not fit a {H}x{W} canvas")
 

@@ -1,5 +1,4 @@
-"""Binary mask primitives: validation, popcounts, unions and summed-area
-tables.
+"""Binary mask primitives: validation, popcounts and unions.
 
 All masks are 2-D numpy arrays with values in {0, 1} (dtype uint8 by
 convention).  Every count in this module is computed in plain
@@ -12,7 +11,6 @@ __all__ = [
     "as_mask",
     "popcount",
     "union",
-    "integral_image",
 ]
 
 
@@ -56,27 +54,3 @@ def union(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"mask dimensions differ: {a.shape} vs {b.shape}")
     return a | b
-
-
-def integral_image(mask) -> np.ndarray:
-    """Summed-area table of a binary mask.
-
-    Parameters
-    ----------
-    mask : array-like
-        H×W binary mask.
-
-    Returns
-    -------
-    ndarray
-        (H+1)×(W+1) int64 array ``S`` with ``S[i, j]`` equal to the number
-        of 1-bits in ``mask[:i, :j]``.  Row 0 and column 0 are all zero, so
-        any rectangle sum needs exactly four lookups and no bounds special
-        cases.
-    """
-    m = as_mask(mask)
-    H, W = m.shape
-    out = np.zeros((H + 1, W + 1), dtype=np.int64)
-    np.cumsum(m, axis=0, dtype=np.int64, out=out[1:, 1:])
-    np.cumsum(out[1:, 1:], axis=1, out=out[1:, 1:])
-    return out

@@ -57,6 +57,11 @@ def test_bad_repeat_counts():
         run_benchmark(canvases=(16,), sizes=(4,), oracle_repeats=0)
 
 
+def test_duplicate_sizes_rejected():
+    with pytest.raises(ValueError, match="duplicate patch sizes"):
+        run_benchmark(canvases=(16,), sizes=(4, 4), repeats=1, include_oracle=False)
+
+
 def test_time_round_robin_counts_calls():
     calls = []
     times = time_round_robin(

@@ -377,6 +377,17 @@ class TestCorruptAndTrial:
             "kind": "uniform-flip", "budget": 10, "seed": 7, "generator": "pcg64",
         }
 
+    @pytest.mark.parametrize("size", [0, -3])
+    @pytest.mark.parametrize(
+        "model", ["uniform-flip", "erode-boundary", "dilate-outside", "split-hole"]
+    )
+    def test_trial_size_below_one_is_usage_error(self, capsys, model, size):
+        code = run_cli(
+            "trial", f"--size={size}", "--gamma", "0.3", "--model", model, "--trials", 1
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: patch size must be >= 1, got {size}\n"
+
     def test_trial_within_budget_all_covered(self, tmp_path, capsys):
         report = tmp_path / "trials.json"
         code = run_cli(
@@ -418,6 +429,15 @@ class TestBench:
         code = run_cli("bench", f"--canvases={canvases}", "--sizes", "8", "--no-oracle")
         assert code == 2
         assert capsys.readouterr().err.startswith("error: canvases must be >= 1")
+
+    @pytest.mark.parametrize(
+        "sizes,message",
+        [("4,4", "duplicate patch sizes"), ("", "at least one patch size is required")],
+    )
+    def test_bad_sizes_are_usage_errors(self, capsys, sizes, message):
+        code = run_cli("bench", "--canvases", "16", f"--sizes={sizes}", "--no-oracle")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 class TestErrorHandling:

@@ -19,7 +19,6 @@ from maskcomplete import (
     distance_cutoff,
     gamma_search,
     generate_shape_mask,
-    integral_image,
     normalize_sizes,
     oracle_complete_multi,
     oracle_complete_single,
@@ -27,7 +26,7 @@ from maskcomplete import (
     popcount,
     union,
 )
-from maskcomplete.completion import _cover, _distances
+from maskcomplete.completion import _cover, _distances, _summed_area
 
 
 class TestDistanceCutoff:
@@ -108,6 +107,19 @@ class TestGammaSchedule:
         with pytest.raises(ValueError):
             sched.gamma(4)
 
+    @pytest.mark.parametrize(
+        "alpha,beta", [(0.9, 0.7), (0.5, 0.99), (0.999, 0.1), (0.001, 0.5)]
+    )
+    def test_first_step_matches_a_walk(self, alpha, beta):
+        # rho on, just below and just above each gamma_k puts the float
+        # estimate on either side of the stop, so both settle walks run.
+        sched = GammaSchedule(alpha=alpha, beta=beta, t_max=30)
+        gammas = [sched.gamma(t) for t in range(1, 31)]
+        eps = Fraction(1, 10**30)
+        for rho in [Fraction(0), *(g + d for g in gammas for d in (-eps, 0, eps))]:
+            walk = next(((t, g) for t, g in enumerate(gammas, 1) if g >= rho), None)
+            assert sched._first_step(rho) == (walk or (30, None))
+
 
 class TestNormalizeSizes:
     def test_sorts(self):
@@ -172,7 +184,7 @@ class TestCandidateField:
             H, W = (int(v) for v in rng.integers(3, 15, 2))
             mask = random_mask(rng, H, W, density=float(rng.random()))
             size = int(rng.integers(1, min(H, W) + 1))
-            dist = _distances(integral_image(mask), size)
+            dist = _distances(_summed_area(mask, *mask.shape), size)
             best, cand = oracle_min_distance(mask, size)
             assert dist.min() == best
             assert np.unravel_index(dist.argmin(), dist.shape) == (cand.row, cand.col)
@@ -184,7 +196,7 @@ class TestCandidateField:
         mask = random_mask(rng, 12, 12, density=0.4)
         H = W = 12
         s = 3
-        accept = _distances(integral_image(mask), s) <= distance_cutoff(0.5, s)
+        accept = _distances(_summed_area(mask, *mask.shape), s) <= distance_cutoff(0.5, s)
         cover = _cover(accept, s)
         for i in range(H):
             for j in range(W):
@@ -197,7 +209,7 @@ class TestCandidateField:
 
     def test_output_is_exactly_cover_count_support(self, rng):
         mask = planted_patch(rng, 16, 16, 5, flips=6)
-        accept = _distances(integral_image(mask), 5) <= distance_cutoff(0.5, 5)
+        accept = _distances(_summed_area(mask, *mask.shape), 5) <= distance_cutoff(0.5, 5)
         out = complete_single_size(mask, 5, 0.5)
         assert out.dtype == np.uint8
         assert np.array_equal(out, _cover(accept, 5))
@@ -347,7 +359,9 @@ class TestGammaSearch:
 
     def test_beta_near_one_computes_only_the_steps_beside_the_stop(self, monkeypatch):
         # The stop is near step 58,780; walking the schedule there computes
-        # every step's exact gamma, each with digits growing with t.
+        # every step's exact gamma, each with digits growing with t.  Only
+        # the estimated step's power is built; its neighbours are one
+        # division or product by beta away.
         calls = []
         gamma = GammaSchedule.gamma
 
@@ -359,7 +373,7 @@ class TestGammaSearch:
         sched = GammaSchedule(beta=0.99999, t_max=10**7)
         mask = self._half_patch()
         out, report = gamma_search(mask, [12], sched)
-        assert len(calls) <= 3
+        assert len(calls) == 1
         t = report.iterations_run
         g = gamma(sched, t)
         assert gamma(sched, t - 1) < Fraction(1, 2) <= g

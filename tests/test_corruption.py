@@ -14,6 +14,7 @@ from maskcomplete import (
     guarantee_trial,
     popcount,
 )
+import maskcomplete.corruption as corruption
 
 ALL_KINDS = list(CorruptionKind)
 
@@ -342,3 +343,13 @@ class TestGuaranteeTrial:
             guarantee_trial(
                 30, (20, 20), 0.3, CorruptionModel(CorruptionKind.UNIFORM_FLIP, 1, 0)
             )
+
+    @pytest.mark.parametrize("size", [0, -3])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_size_below_one_raises_before_drawing(self, monkeypatch, kind, size):
+        def no_draw(*args):
+            raise AssertionError("a ground truth was drawn and corrupted")
+
+        monkeypatch.setattr(corruption, "corrupt_outcome", no_draw)
+        with pytest.raises(ValueError, match=f"^patch size must be >= 1, got {size}$"):
+            guarantee_trial(size, (20, 20), 0.3, CorruptionModel(kind, 1, 0))

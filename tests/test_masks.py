@@ -1,8 +1,10 @@
-"""mask primitives: validation, integral images, window sums read off the
-table, and the engine's Hamming distance plane built on it.  Expected
-values come from independent little oracles written inline (double loops,
-XOR popcounts) rather than from the code under test.
+"""mask primitives: validation, popcounts and unions; the engine's
+summed-area table, window sums read off it, and the Hamming distance plane
+built on it.  Expected values come from independent little oracles written
+inline (double loops, XOR popcounts) rather than from the code under test.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_mask
-from maskcomplete import as_mask, integral_image, popcount, union
-from maskcomplete.completion import _distances
+from maskcomplete import as_mask, popcount, union
+from maskcomplete.completion import _distances, _summed_area
 
 small_masks = arrays(
     np.uint8,
@@ -46,25 +48,30 @@ class TestAsMask:
             as_mask(bad)
 
 
+def table_of(mask):
+    """The engine's summed-area table of a whole mask."""
+    return _summed_area(mask, *mask.shape)
+
+
 class TestIntegralImage:
     def test_zero_mask(self):
-        table = integral_image(np.zeros((3, 3), dtype=np.uint8))
+        table = table_of(np.zeros((3, 3), dtype=np.uint8))
         assert table.shape == (4, 4)
         assert not table.any()
 
     def test_all_ones_2x2(self):
-        table = integral_image(np.ones((2, 2), dtype=np.uint8))
+        table = table_of(np.ones((2, 2), dtype=np.uint8))
         assert table[2, 2] == 4
         assert table[1, 1] == 1
 
     def test_zero_border(self, rng):
-        table = integral_image(random_mask(rng, 6, 9))
+        table = table_of(random_mask(rng, 6, 9))
         assert not table[0].any()
         assert not table[:, 0].any()
 
     def test_matches_double_sum(self, rng):
         mask = random_mask(rng, 8, 8)
-        table = integral_image(mask)
+        table = table_of(mask)
         for i in range(9):
             for j in range(9):
                 direct = sum(
@@ -74,14 +81,34 @@ class TestIntegralImage:
 
     def test_total_equals_popcount(self, rng):
         mask = random_mask(rng, 11, 7, density=0.3)
-        assert integral_image(mask)[-1, -1] == popcount(mask)
+        assert table_of(mask)[-1, -1] == popcount(mask)
 
     @settings(max_examples=50)
     @given(mask=small_masks)
     def test_monotone_rows_and_cols(self, mask):
-        table = integral_image(mask)
+        table = table_of(mask)
         assert (np.diff(table, axis=0) >= 0).all()
         assert (np.diff(table, axis=1) >= 0).all()
+
+    def test_flags_smaller_than_the_canvas_repeat_last_row_and_col(self, rng):
+        # _cover sums window flags over the whole canvas and relies on this.
+        flags = random_mask(rng, 5, 7)
+        table = _summed_area(flags, 9, 12)
+        assert table.shape == (10, 13)
+        assert np.array_equal(table[:6, :8], table_of(flags))
+        assert (table[6:] == table[5]).all()
+        assert (table[:, 8:] == table[:, 7:8]).all()
+
+    def test_peak_memory_is_the_table_alone(self):
+        mask = np.ones((512, 512), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            table = _summed_area(mask, 512, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table[-1, -1] == 512 * 512
+        assert peak <= 8 * 513 * 513 + 64 * 1024
 
 
 def window_sum(table, s, i, j):
@@ -91,19 +118,19 @@ def window_sum(table, s, i, j):
 
 class TestWindowSum:
     def test_all_ones(self):
-        table = integral_image(np.ones((4, 4), dtype=np.uint8))
+        table = table_of(np.ones((4, 4), dtype=np.uint8))
         for i in range(3):
             for j in range(3):
                 assert window_sum(table, 2, i, j) == 4
 
     def test_all_zeros(self):
-        table = integral_image(np.zeros((5, 7), dtype=np.uint8))
+        table = table_of(np.zeros((5, 7), dtype=np.uint8))
         assert window_sum(table, 3, 1, 2) == 0
 
     @pytest.mark.parametrize("size", [1, 3, 7, 10])
     def test_matches_per_window_popcount(self, rng, size):
         mask = random_mask(rng, 10, 10)
-        table = integral_image(mask)
+        table = table_of(mask)
         for i in range(10 - size + 1):
             for j in range(10 - size + 1):
                 direct = int(mask[i : i + size, j : j + size].sum())
@@ -116,7 +143,7 @@ class TestHammingToCandidate:
     def test_identical_patch_is_zero(self):
         mask = np.zeros((9, 9), dtype=np.uint8)
         mask[2:6, 3:7] = 1
-        dist = _distances(integral_image(mask), 4)
+        dist = _distances(table_of(mask), 4)
         assert dist.shape == (6, 6)
         assert dist[2, 3] == 0
         assert np.count_nonzero(dist == 0) == 1
@@ -124,12 +151,12 @@ class TestHammingToCandidate:
     @pytest.mark.parametrize("size", [1, 2, 5])
     def test_empty_mask_is_s_squared(self, size):
         mask = np.zeros((6, 6), dtype=np.uint8)
-        dist = _distances(integral_image(mask), size)
+        dist = _distances(table_of(mask), size)
         assert (dist == size * size).all()
 
     def test_matches_xor_popcount(self, rng):
         mask = random_mask(rng, 12, 12)
-        table = integral_image(mask)
+        table = table_of(mask)
         for size in range(1, 13):
             dist = _distances(table, size)
             assert dist.shape == (13 - size, 13 - size)
@@ -145,9 +172,9 @@ class TestFlipEquivariance:
 
     def test_horizontal_and_vertical(self, rng):
         mask = random_mask(rng, 9, 13)
-        table = integral_image(mask)
-        table_h = integral_image(mask[:, ::-1])
-        table_v = integral_image(mask[::-1, :])
+        table = table_of(mask)
+        table_h = table_of(mask[:, ::-1])
+        table_v = table_of(mask[::-1, :])
         H, W = mask.shape
         for _ in range(50):
             size = int(rng.integers(1, 9))
