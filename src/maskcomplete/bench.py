@@ -94,6 +94,8 @@ def run_benchmark(
     sizes = normalize_sizes(sizes)
     if not canvases or canvases[0] < 1:
         raise ValueError(f"canvases must be >= 1, got {canvases}")
+    if len(set(canvases)) != len(canvases):
+        raise ValueError(f"duplicate canvases in {canvases}")
     if repeats < 1 or oracle_repeats < 1:
         raise ValueError("repetition counts must be >= 1")
 

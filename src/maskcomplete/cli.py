@@ -49,14 +49,19 @@ MASK_CONVENTION = "1 = patch pixel (PBM black)"
 __all__ = ["build_parser", "main", "entrypoint"]
 
 
-def _parse_sizes(text):
+def _parse_ints(text, plural, singular):
+    """Comma-separated integers, blank parts skipped, at least one."""
     try:
         parts = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise ValueError(f"sizes must be comma-separated integers, got {text!r}")
+        raise ValueError(f"{plural} must be comma-separated integers, got {text!r}")
     if not parts:
-        raise ValueError("at least one patch size is required")
-    return normalize_sizes(parts)
+        raise ValueError(f"at least one {singular} is required")
+    return parts
+
+
+def _parse_sizes(text):
+    return normalize_sizes(_parse_ints(text, "sizes", "patch size"))
 
 
 def _parse_canvas(text):
@@ -255,7 +260,7 @@ def _cmd_trial(args):
 
 def _cmd_bench(args):
     report = run_benchmark(
-        canvases=[int(c) for c in args.canvases.split(",")],
+        canvases=_parse_ints(args.canvases, "canvases", "canvas"),
         sizes=_parse_sizes(args.sizes),
         repeats=args.reps,
         oracle_repeats=args.oracle_reps,

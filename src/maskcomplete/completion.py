@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .masks import as_mask, popcount
+from .masks import as_mask
 
 __all__ = [
     "GammaSchedule",
@@ -282,7 +282,7 @@ def _complete(mask, sizes, first_step):
         iterations_run=step,
         per_size_accepted=accepted,
         skipped_sizes=skipped,
-        output_popcount=popcount(out),
+        output_popcount=int(np.count_nonzero(out)),
     )
     return out, report
 

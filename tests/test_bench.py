@@ -62,6 +62,12 @@ def test_duplicate_sizes_rejected():
         run_benchmark(canvases=(16,), sizes=(4, 4), repeats=1, include_oracle=False)
 
 
+def test_duplicate_canvases_rejected():
+    # a repeated canvas would be built and timed twice but reported once
+    with pytest.raises(ValueError, match="duplicate canvases"):
+        run_benchmark(canvases=(16, 16), sizes=(4,), repeats=1, include_oracle=False)
+
+
 def test_time_round_robin_counts_calls():
     calls = []
     times = time_round_robin(

@@ -407,7 +407,7 @@ class TestBench:
     def test_tiny_benchmark_runs(self, tmp_path, capsys):
         report = tmp_path / "bench.json"
         code = run_cli(
-            "bench", "--canvases", "48,64", "--sizes", "8,12", "--reps", 1,
+            "bench", "--canvases", "48,,64,", "--sizes", "8,12", "--reps", 1,
             "--oracle-reps", 1, "--report", report,
         )
         assert code == 0
@@ -436,6 +436,20 @@ class TestBench:
     )
     def test_bad_sizes_are_usage_errors(self, capsys, sizes, message):
         code = run_cli("bench", "--canvases", "16", f"--sizes={sizes}", "--no-oracle")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
+        "canvases,message",
+        [
+            ("16,16", "duplicate canvases"),
+            ("", "at least one canvas is required"),
+            (" , ", "at least one canvas is required"),
+            ("16,x", "canvases must be comma-separated integers"),
+        ],
+    )
+    def test_bad_canvases_are_usage_errors(self, capsys, canvases, message):
+        code = run_cli("bench", f"--canvases={canvases}", "--sizes", "8", "--no-oracle")
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
