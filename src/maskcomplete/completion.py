@@ -7,11 +7,11 @@ patch within that Hamming budget of the observation is therefore covered
 entirely by the output, and the output contains nothing outside the union
 of qualifying windows.
 
-The implementation runs in time linear in the image area, independent of s:
-one summed-area table turns every window distance into a four-corner
-lookup, and a second summed-area table over the accepted windows turns
-"is this pixel inside some accepted window" into another four-corner
-lookup.
+The implementation runs in time linear in the image area: one int32
+summed-area table turns every window distance into a four-corner lookup,
+and "is this pixel inside some accepted window" is a dilation of the
+accepted window corners by an s-by-s box, about 2 * log2(s) shifted ORs
+over a plane of bytes.
 
 The distance from the observation to each window does not depend on gamma,
 so a search over several thresholds needs only each size's minimum
@@ -77,9 +77,16 @@ def distance_cutoff(gamma, size) -> int:
     return int(_exact_gamma(gamma) * (int(size) * int(size)))
 
 
+def _patch_size(size) -> int:
+    """``size`` as an int; a bool or a non-integer raises TypeError."""
+    if isinstance(size, (bool, np.bool_)):
+        raise TypeError("patch size must be an integer, not a bool")
+    return operator.index(size)
+
+
 def normalize_sizes(sizes) -> tuple:
     """Canonicalize a collection of patch sizes: ints >= 1, strictly increasing."""
-    out = tuple(sorted(int(s) for s in sizes))
+    out = tuple(sorted(_patch_size(s) for s in sizes))
     for s in out:
         if s < 1:
             raise ValueError(f"patch sizes must be >= 1, got {s}")
@@ -166,20 +173,30 @@ class CompletionReport:
     output_popcount: int = 0
 
 
-def _summed_area(flags, H, W) -> np.ndarray:
-    """(H+1)×(W+1) int64 summed-area table of ``flags`` at the top-left.
+def _table_dtype(h, w):
+    """int32 while a window distance's terms, up to 2·h·w, fit in it; else int64."""
+    return np.int32 if 2 * h * w < 2**31 else np.int64
+
+
+def _summed_area(flags) -> np.ndarray:
+    """(H+1)×(W+1) summed-area table of ``flags`` at the top-left.
 
     Entry (i, j) counts the ones in ``flags[:i, :j]``.  Row 0 and column 0
-    are zero, so any box sum is four lookups with no bounds special cases,
-    and past the extent of ``flags`` the rows and columns repeat the last
-    ones.  The running sums are taken in place, so the table is the only
-    plane allocated.
+    are zero, so any box sum is four lookups with no bounds special cases.
+    The running sums are taken in place, rows first, so the table is the
+    only plane allocated.  The column pass adds each row into the next, and
+    numpy runs it two to four times slower when rows lie about a multiple
+    of 4 KiB apart (a 1024-wide canvas); the table is therefore a view into
+    rows padded to an odd number of 64-byte cache lines.
     """
-    table = np.zeros((H + 1, W + 1), dtype=np.int64)
     h, w = flags.shape
-    table[1 : h + 1, 1 : w + 1] = flags
-    for plane in (table, table.T):
-        np.cumsum(plane, axis=0, out=plane)
+    dtype = _table_dtype(h, w)
+    per_line = 64 // np.dtype(dtype).itemsize
+    lines = (w + per_line) // per_line | 1
+    table = np.zeros((h + 1, lines * per_line), dtype=dtype)[:, : w + 1]
+    table[1:, 1:] = flags
+    np.cumsum(table, axis=1, out=table)
+    np.cumsum(table, axis=0, out=table)
     return table
 
 
@@ -189,7 +206,7 @@ def _distances(table, s) -> np.ndarray:
     ``table`` is the mask's :func:`_summed_area`; entry (i, j) of the
     result belongs to the window with top-left corner (i, j), which must
     fit: s <= H and s <= W.  With four-corner sums of the ones inside,
-    d = s^2 + total - 2 * ones_inside.
+    d = s^2 + total - 2 * ones_inside, computed in the table's dtype.
     """
     H, W = table.shape[0] - 1, table.shape[1] - 1
     d = table[s:, s:] - table[: H - s + 1, s:]
@@ -200,20 +217,42 @@ def _distances(table, s) -> np.ndarray:
     return d
 
 
+def _running_or(flat, s, step):
+    """OR into each entry of ``flat`` the s - 1 entries after it, ``step`` apart.
+
+    After the ORs with shifts 1, 2, 4, ..., k (times ``step``) each entry
+    holds the OR of the k entries starting at it; one more OR, shifted by
+    s - k <= k, extends that to s.  The shifted operand always lies ahead
+    of the one written, so numpy ORs in place without a copy.
+    """
+    k = 1
+    while 2 * k <= s:
+        flat[: -k * step] |= flat[k * step :]
+        k *= 2
+    if k < s:
+        flat[: (k - s) * step] |= flat[(s - k) * step :]
+
+
 def _cover(accept, s) -> np.ndarray:
     """H×W uint8 mask of the pixels inside at least one accepted s×s window.
 
     ``accept`` holds one flag per window top-left corner, as laid out by
     :func:`_distances`.  Pixel (i, j) lies in the windows whose corners are
-    in rows [i-s+1, i] and cols [j-s+1, j]; a summed-area table over the
-    flags counts them with running differences along each axis.
+    in rows [i-s+1, i] and cols [j-s+1, j], so with the flags moved s - 1
+    rows down and s - 1 cols right, the cover at (i, j) is the OR of the
+    s×s block that starts there: a running OR along each row, then down
+    each column.  Both run on the flattened plane.  Along a row, an OR that
+    runs past the row's end only reaches the first s - 1 cols of the next
+    row, which hold no flags.
     """
-    # The table spans the full canvas, so past the last corner row/col its
-    # rows and cols repeat and the differences need no upper clipping.
-    table = _summed_area(accept, accept.shape[0] + s - 1, accept.shape[1] + s - 1)
-    for plane in (table, table.T):
-        plane[s:] -= plane[:-s]
-    return (table[1:, 1:] > 0).view(np.uint8)
+    h, w = accept.shape
+    H, W = h + s - 1, w + s - 1
+    plane = np.zeros((H, W), dtype=bool)
+    plane[s - 1 :, s - 1 :] = accept
+    flat = plane.reshape(-1)
+    _running_or(flat[(s - 1) * W :], s, 1)
+    _running_or(flat, s, W)
+    return plane.view(np.uint8)
 
 
 def complete_single_size(observed, size, gamma) -> np.ndarray:
@@ -224,7 +263,7 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
     observed : array-like
         H×W binary observation.
     size : int
-        Candidate patch side length s.
+        Candidate patch side length s; a bool or a float raises TypeError.
     gamma : float or Fraction
         Relative Hamming threshold in [0, 1); a window is accepted when its
         distance to the observation is at most gamma * s**2.
@@ -237,13 +276,13 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
     """
     mask = as_mask(observed)
     cutoff = distance_cutoff(gamma, size)
-    s = int(size)
+    s = _patch_size(size)
     if s < 1:
         raise ValueError(f"patch size must be >= 1, got {s}")
     H, W = mask.shape
     if s > H or s > W:
         return np.zeros((H, W), dtype=np.uint8)
-    return _cover(_distances(_summed_area(mask, H, W), s) <= cutoff, s)
+    return _cover(_distances(_summed_area(mask), s) <= cutoff, s)
 
 
 def _complete(mask, sizes, first_step):
@@ -263,7 +302,7 @@ def _complete(mask, sizes, first_step):
     skipped = tuple(s for s in sizes if s > H or s > W)
     accepted = dict.fromkeys(sizes, 0)
 
-    table = _summed_area(mask, H, W)
+    table = _summed_area(mask)
     # One distance plane alive at a time: only its minimum is kept.
     d_min = {s: int(_distances(table, s).min()) for s in fitting}
     rho = min((Fraction(d, s * s) for s, d in d_min.items()), default=Fraction(1))

@@ -5,10 +5,14 @@ module; arithmetic expectations are worked out by hand in the asserts.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import planted_patch, random_mask
 from maskcomplete import (
@@ -131,6 +135,22 @@ class TestNormalizeSizes:
         with pytest.raises(ValueError):
             normalize_sizes([0, 3])
 
+    def test_accepts_integer_types(self):
+        assert normalize_sizes([np.int64(8), np.uint8(3)]) == (3, 8)
+
+    @pytest.mark.parametrize("size", [3.9, 3.0, "3", True, np.bool_(True), Fraction(3)])
+    def test_rejects_non_integers_and_bools(self, size):
+        with pytest.raises(TypeError):
+            normalize_sizes([size])
+
+    @pytest.mark.parametrize("size", [3.9, True])
+    def test_searches_reject_non_integer_sizes(self, size):
+        mask = np.ones((8, 8), dtype=np.uint8)
+        with pytest.raises(TypeError):
+            gamma_search(mask, [size])
+        with pytest.raises(TypeError):
+            complete_fixed_gamma(mask, [size], 0.5)
+
 
 class TestCompleteSingleSize:
     def test_exact_patch_gamma_zero_is_identity(self):
@@ -172,6 +192,18 @@ class TestCompleteSingleSize:
         with pytest.raises(ValueError):
             complete_single_size(np.ones((8, 8), dtype=np.uint8), 0, 0.5)
 
+    @pytest.mark.parametrize("size", [3.9, 3.0, "3", True, np.bool_(False)])
+    def test_size_must_be_an_integer(self, size):
+        with pytest.raises(TypeError):
+            complete_single_size(np.ones((8, 8), dtype=np.uint8), size, 0.5)
+
+    def test_numpy_integer_size(self):
+        mask = planted_patch(np.random.default_rng(3), 12, 12, 4)
+        assert np.array_equal(
+            complete_single_size(mask, np.int64(4), 0.25),
+            complete_single_size(mask, 4, 0.25),
+        )
+
 
 class TestCandidateField:
     """The per-size kernels: the window distance plane and its cover."""
@@ -184,7 +216,7 @@ class TestCandidateField:
             H, W = (int(v) for v in rng.integers(3, 15, 2))
             mask = random_mask(rng, H, W, density=float(rng.random()))
             size = int(rng.integers(1, min(H, W) + 1))
-            dist = _distances(_summed_area(mask, *mask.shape), size)
+            dist = _distances(_summed_area(mask), size)
             best, cand = oracle_min_distance(mask, size)
             assert dist.min() == best
             assert np.unravel_index(dist.argmin(), dist.shape) == (cand.row, cand.col)
@@ -192,12 +224,20 @@ class TestCandidateField:
             _, report = complete_fixed_gamma(mask, [size], gamma)
             assert report.attack_found == (best <= distance_cutoff(gamma, size))
 
-    def test_cover_count_matches_direct_count(self, rng):
-        mask = random_mask(rng, 12, 12, density=0.4)
-        H = W = 12
-        s = 3
-        accept = _distances(_summed_area(mask, *mask.shape), s) <= distance_cutoff(0.5, s)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_cover_count_matches_direct_count(self, data):
+        # s = 1, powers of two, other sizes and the full canvas side hit
+        # every branch of the doubling ORs and both plane edges.
+        H, W = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24))
+        s = data.draw(
+            st.sampled_from([1, 2, 3, 4, 5, 7, 8, 12, 16, H, W]).filter(
+                lambda v: v <= min(H, W)
+            )
+        )
+        accept = data.draw(arrays(np.bool_, (H - s + 1, W - s + 1)))
         cover = _cover(accept, s)
+        assert cover.shape == (H, W) and cover.dtype == np.uint8
         for i in range(H):
             for j in range(W):
                 direct = sum(
@@ -209,7 +249,7 @@ class TestCandidateField:
 
     def test_output_is_exactly_cover_count_support(self, rng):
         mask = planted_patch(rng, 16, 16, 5, flips=6)
-        accept = _distances(_summed_area(mask, *mask.shape), 5) <= distance_cutoff(0.5, 5)
+        accept = _distances(_summed_area(mask), 5) <= distance_cutoff(0.5, 5)
         out = complete_single_size(mask, 5, 0.5)
         assert out.dtype == np.uint8
         assert np.array_equal(out, _cover(accept, 5))
@@ -253,6 +293,19 @@ class TestCompleteMultiSize:
         for s in sizes:
             want |= complete_single_size(mask, s, 0.3)
         assert np.array_equal(complete_fixed_gamma(mask, sizes, 0.3)[0], want)
+
+    def test_search_peak_memory_is_bounded(self, rng):
+        # The int32 table, one int32 distance plane, its accept flags and
+        # the byte planes of the output and the cover: about 9.2 B/px.
+        mask = planted_patch(rng, 512, 512, 50, flips=200)
+        tracemalloc.start()
+        try:
+            out, report = gamma_search(mask, (25, 50, 75, 100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.attack_found and out.any()
+        assert peak <= 12 * 512 * 512
 
     def test_empty_size_set_gives_empty_mask(self, rng):
         mask = random_mask(rng, 8, 8)

@@ -14,7 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_mask
 from maskcomplete import as_mask, popcount, union
-from maskcomplete.completion import _distances, _summed_area
+from maskcomplete import completion
+from maskcomplete.completion import _distances, _summed_area, _table_dtype
 
 small_masks = arrays(
     np.uint8,
@@ -50,7 +51,7 @@ class TestAsMask:
 
 def table_of(mask):
     """The engine's summed-area table of a whole mask."""
-    return _summed_area(mask, *mask.shape)
+    return _summed_area(mask)
 
 
 class TestIntegralImage:
@@ -90,25 +91,46 @@ class TestIntegralImage:
         assert (np.diff(table, axis=0) >= 0).all()
         assert (np.diff(table, axis=1) >= 0).all()
 
-    def test_flags_smaller_than_the_canvas_repeat_last_row_and_col(self, rng):
-        # _cover sums window flags over the whole canvas and relies on this.
-        flags = random_mask(rng, 5, 7)
-        table = _summed_area(flags, 9, 12)
-        assert table.shape == (10, 13)
-        assert np.array_equal(table[:6, :8], table_of(flags))
-        assert (table[6:] == table[5]).all()
-        assert (table[:, 8:] == table[:, 7:8]).all()
-
     def test_peak_memory_is_the_table_alone(self):
+        # An int32 table; its rows are padded by less than two 64-byte
+        # cache lines each.
         mask = np.ones((512, 512), dtype=np.uint8)
         tracemalloc.start()
         try:
-            table = _summed_area(mask, 512, 512)
+            table = _summed_area(mask)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert table.dtype == np.int32
         assert table[-1, -1] == 512 * 512
-        assert peak <= 8 * 513 * 513 + 64 * 1024
+        assert peak <= 4 * 513 * 513 + 128 * 513 + 4 * 1024
+
+    @pytest.mark.parametrize(
+        "h,w,dtype",
+        [
+            (1, 1, np.int32),
+            (2**15, 2**15 - 1, np.int32),
+            (1, 2**30 - 1, np.int32),
+            (2**15, 2**15, np.int64),
+            (1, 2**30, np.int64),
+            (2**30 - 1, 1, np.int32),
+            (2**30, 1, np.int64),
+        ],
+    )
+    def test_int32_while_twice_the_area_fits(self, h, w, dtype):
+        # A distance is s^2 + ones - 2 * ones_inside, and s^2 + ones can
+        # reach 2*h*w: int32 while that stays below 2^31.
+        assert _table_dtype(h, w) is dtype
+
+    def test_int64_fallback_gives_the_same_table_and_distances(self, rng, monkeypatch):
+        mask = random_mask(rng, 23, 17, density=0.4)
+        narrow = table_of(mask)
+        monkeypatch.setattr(completion, "_table_dtype", lambda h, w: np.int64)
+        wide = table_of(mask)
+        assert (narrow.dtype, wide.dtype) == (np.int32, np.int64)
+        assert np.array_equal(narrow, wide)
+        for size in (1, 4, 17):
+            assert np.array_equal(_distances(narrow, size), _distances(wide, size))
 
 
 def window_sum(table, s, i, j):
