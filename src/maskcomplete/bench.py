@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from .completion import complete_single_size, normalize_sizes
+from .masks import as_int
 from .oracle import oracle_complete_single
 
 __all__ = ["BENCH_GAMMA", "bench_fixture", "time_round_robin", "run_benchmark"]
@@ -90,14 +91,14 @@ def run_benchmark(
     design) and without warmup, since the interpreted path has no caches
     to prime.
     """
-    canvases = sorted(int(c) for c in canvases)
     sizes = normalize_sizes(sizes)
-    if not canvases or canvases[0] < 1:
-        raise ValueError(f"canvases must be >= 1, got {canvases}")
+    canvases = sorted(as_int(c, "canvases", 1) for c in canvases)
+    if not canvases:
+        raise ValueError("at least one canvas is required")
     if len(set(canvases)) != len(canvases):
         raise ValueError(f"duplicate canvases in {canvases}")
-    if repeats < 1 or oracle_repeats < 1:
-        raise ValueError("repetition counts must be >= 1")
+    repeats = as_int(repeats, "repeats", 1)
+    oracle_repeats = as_int(oracle_repeats, "oracle_repeats", 1)
 
     dp_seconds = _time_configs(complete_single_size, canvases, sizes, repeats)
     oracle_seconds = {}

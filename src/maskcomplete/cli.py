@@ -38,7 +38,7 @@ from .corruption import (
     corrupt_outcome,
     guarantee_trial,
 )
-from .masks import popcount, union
+from .masks import as_int, popcount, union
 from .oracle import oracle_complete_multi
 from .pbm import PBMFormatError, atomic_write_text, read_pbm, write_pbm
 from .shapes import ShapeKind, generate_shape_mask
@@ -184,9 +184,7 @@ def _cmd_gen(args):
 
 def _cmd_corrupt(args):
     observed = read_pbm(args.input)
-    model = CorruptionModel(
-        kind=CorruptionKind(args.model), budget=args.budget, seed=args.seed
-    )
+    model = CorruptionModel(kind=args.model, budget=args.budget, seed=args.seed)
     outcome = corrupt_outcome(observed, model)
     write_pbm(outcome.mask, args.output, fmt=args.format.upper())
     if args.report:
@@ -209,21 +207,20 @@ def _cmd_corrupt(args):
 
 
 def _cmd_trial(args):
-    if args.trials < 1:
-        raise ValueError(f"trials must be >= 1, got {args.trials}")
+    trials = as_int(args.trials, "trials", 1)
     canvas = _parse_canvas(args.canvas)
     budget = args.budget
     if budget is None:
         budget = distance_cutoff(args.gamma, args.size)
-    seeds = np.random.SeedSequence(args.seed).generate_state(
-        args.trials, dtype=np.uint64
+    seeds = np.random.SeedSequence(as_int(args.seed, "seed", 0)).generate_state(
+        trials, dtype=np.uint64
     )
     records = [
         guarantee_trial(
             args.size,
             canvas,
             args.gamma,
-            CorruptionModel(CorruptionKind(args.model), budget, int(seed)),
+            CorruptionModel(args.model, budget, int(seed)),
         )
         for seed in seeds
     ]

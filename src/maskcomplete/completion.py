@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .masks import as_mask
+from .masks import as_int, as_mask
 
 __all__ = [
     "GammaSchedule",
@@ -74,22 +74,12 @@ def distance_cutoff(gamma, size) -> int:
     cutoff; precomputing the integer removes all per-candidate rounding
     concerns.
     """
-    return int(_exact_gamma(gamma) * (int(size) * int(size)))
-
-
-def _patch_size(size) -> int:
-    """``size`` as an int; a bool or a non-integer raises TypeError."""
-    if isinstance(size, (bool, np.bool_)):
-        raise TypeError("patch size must be an integer, not a bool")
-    return operator.index(size)
+    return int(_exact_gamma(gamma) * as_int(size, "patch size", 1) ** 2)
 
 
 def normalize_sizes(sizes) -> tuple:
     """Canonicalize a collection of patch sizes: ints >= 1, strictly increasing."""
-    out = tuple(sorted(_patch_size(s) for s in sizes))
-    for s in out:
-        if s < 1:
-            raise ValueError(f"patch sizes must be >= 1, got {s}")
+    out = tuple(sorted(as_int(s, "patch size", 1) for s in sizes))
     if len(set(out)) != len(out):
         raise ValueError(f"duplicate patch sizes in {sizes}")
     return out
@@ -114,8 +104,7 @@ class GammaSchedule:
         if not 0 < self.beta < 1:
             raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
         # iterations_run can be t_max itself, so it must be a true integer.
-        if operator.index(self.t_max) < 1:
-            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
+        object.__setattr__(self, "t_max", as_int(self.t_max, "t_max", 1))
 
     @cached_property
     def _exact(self):
@@ -275,10 +264,8 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
         window.  A size larger than the image yields the all-zero mask.
     """
     mask = as_mask(observed)
-    cutoff = distance_cutoff(gamma, size)
-    s = _patch_size(size)
-    if s < 1:
-        raise ValueError(f"patch size must be >= 1, got {s}")
+    cutoff = distance_cutoff(gamma, size)  # reads gamma, then size
+    s = operator.index(size)
     H, W = mask.shape
     if s > H or s > W:
         return np.zeros((H, W), dtype=np.uint8)

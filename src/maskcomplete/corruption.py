@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .completion import complete_single_size, distance_cutoff
-from .masks import as_mask
+from .masks import as_int, as_mask
 
 __all__ = [
     "DEFAULT_SEED",
@@ -47,8 +47,8 @@ class CorruptionModel:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", CorruptionKind(self.kind))
-        if self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
+        object.__setattr__(self, "budget", as_int(self.budget, "budget", 0))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -186,14 +186,14 @@ def guarantee_trial(s, canvas, gamma, model) -> TrialRecord:
     with the model, completes the corrupted observation at ``gamma``, and
     passes iff the completion covers every ground-truth pixel.  Whenever
     the corruption stayed within floor(gamma * s**2), a failure here means
-    the completion itself is broken.
+    the completion itself is broken.  Every argument is checked before the
+    patch is drawn.
     """
-    H, W = int(canvas[0]), int(canvas[1])
-    s = int(s)
-    if s < 1:
-        raise ValueError(f"patch size must be >= 1, got {s}")
+    s = as_int(s, "patch size", 1)
+    H, W = as_int(canvas[0], "canvas", 1), as_int(canvas[1], "canvas", 1)
     if s > H or s > W:
         raise ValueError(f"patch size {s} does not fit a {H}x{W} canvas")
+    cutoff = distance_cutoff(gamma, s)
 
     rng = np.random.default_rng(model.seed)
     row = int(rng.integers(0, H - s + 1))
@@ -217,6 +217,6 @@ def guarantee_trial(s, canvas, gamma, model) -> TrialRecord:
         patch_col=col,
         hamming=outcome.hamming,
         clamped=outcome.clamped,
-        within_budget=outcome.hamming <= distance_cutoff(gamma, s),
+        within_budget=outcome.hamming <= cutoff,
         passed=bool(covered),
     )

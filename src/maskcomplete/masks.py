@@ -1,14 +1,22 @@
-"""Binary mask primitives: validation, popcounts and unions.
+"""Binary mask primitives and the package's input readers.
 
 All masks are 2-D numpy arrays with values in {0, 1} (dtype uint8 by
 convention).  Every count in this module is computed in plain
 integer arithmetic; no floating point is involved anywhere.
+
+The two readers decide what the rest of the package accepts: :func:`as_mask`
+for masks, and :func:`as_int` for every integer argument (patch and shape
+sizes, canvases, counts, budgets and seeds).  An integer argument is never
+truncated: a bool, a float, a str or a Fraction raises TypeError.
 """
+
+import operator
 
 import numpy as np
 
 __all__ = [
     "as_mask",
+    "as_int",
     "popcount",
     "union",
 ]
@@ -40,6 +48,26 @@ def as_mask(a) -> np.ndarray:
     if not np.all((arr == 0) | (arr == 1)):
         raise ValueError("mask values must be exactly 0 or 1")
     return arr.astype(np.uint8, copy=False)
+
+
+def as_int(value, name, least) -> int:
+    """Read the integer argument ``name``, which must be at least ``least``.
+
+    Any exact integer type is accepted (``operator.index``), numpy's
+    included.  A bool, a float, a str or a Fraction raises TypeError: a
+    size of 3.9 is never read as 3.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, not a bool")
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"{name} must be an integer, got {type(value).__name__}"
+        ) from None
+    if v < least:
+        raise ValueError(f"{name} must be >= {least}, got {v}")
+    return v
 
 
 def popcount(mask) -> int:

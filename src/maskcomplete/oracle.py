@@ -10,13 +10,17 @@ instead of XOR-ing full images, using the identity
     d = s*s + total_ones - 2 * ones_inside_window
 
 whose correctness is itself checked (in the test suite) against a rescan
-that walks the entire image per candidate.
+that walks the entire image per candidate.  Patch sizes are read by
+:func:`maskcomplete.masks.as_int`, the package's integer reader, so the
+oracle and the engine reject the same sizes.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+
+from .masks import as_int
 
 __all__ = [
     "PatchCandidate",
@@ -81,9 +85,7 @@ def oracle_complete_single(observed, size, gamma) -> np.ndarray:
     bits = _as_bit_rows(observed)
     H = len(bits)
     W = len(bits[0])
-    s = int(size)
-    if s < 1:
-        raise ValueError(f"patch size must be >= 1, got {s}")
+    s = as_int(size, "patch size", 1)
     out = [[0] * W for _ in range(H)]
     if s > H or s > W:
         return np.array(out, dtype=np.uint8)
@@ -117,9 +119,7 @@ def oracle_min_distance(observed, size):
     bits = _as_bit_rows(observed)
     H = len(bits)
     W = len(bits[0])
-    s = int(size)
-    if s < 1:
-        raise ValueError(f"patch size must be >= 1, got {s}")
+    s = as_int(size, "patch size", 1)
     if s > H or s > W:
         raise ValueError(f"no {s}x{s} candidate fits in a {H}x{W} mask")
 

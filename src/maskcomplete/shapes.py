@@ -13,8 +13,11 @@ of n*n (checked through n = 150).
 
 import enum
 import math
+import operator
 
 import numpy as np
+
+from .masks import as_int
 
 __all__ = ["ShapeKind", "generate_shape_mask"]
 
@@ -153,23 +156,20 @@ def generate_shape_mask(kind, n, anchor, canvas) -> np.ndarray:
         If the shape does not fit inside the canvas at the given anchor.
     """
     kind = ShapeKind(kind)
-    if n < 1:
-        raise ValueError(f"shape size must be >= 1, got {n}")
-    H, W = int(canvas[0]), int(canvas[1])
-    if H < 1 or W < 1:
-        raise ValueError(f"canvas must be nonempty, got {H}x{W}")
+    n = as_int(n, "shape size", 1)
+    H, W = as_int(canvas[0], "canvas", 1), as_int(canvas[1], "canvas", 1)
     # Every kind sets more than n*n/2 pixels, so this rejects only shapes
     # that cannot fit, before their tile is built.
-    if int(n) ** 2 > 2 * H * W:
+    if n**2 > 2 * H * W:
         raise ValueError(
             f"{kind.value} of size n={n} cannot fit inside a {H}x{W} canvas"
         )
 
-    tile = _tile(kind, int(n))
+    tile = _tile(kind, n)
     h, w = tile.shape
     if anchor is None:
         anchor = ((H - h) // 2, (W - w) // 2)
-    r, c = int(anchor[0]), int(anchor[1])
+    r, c = operator.index(anchor[0]), operator.index(anchor[1])
     if r < 0 or c < 0 or r + h > H or c + w > W:
         raise ValueError(
             f"{kind.value} of bounding box {h}x{w} at anchor ({r}, {c}) "

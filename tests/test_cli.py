@@ -388,6 +388,17 @@ class TestCorruptAndTrial:
         assert code == 2
         assert capsys.readouterr().err == f"error: patch size must be >= 1, got {size}\n"
 
+    @pytest.mark.parametrize("command", ["corrupt", "trial"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        gt_path = tmp_path / "gt.pbm"
+        write_pbm(generate_shape_mask("square", 8, None, (16, 16)), gt_path)
+        argv = {
+            "corrupt": ["corrupt", gt_path, "--budget", 3, "-o", tmp_path / "o.pbm"],
+            "trial": ["trial", "--size", 4, "--canvas", "16x16", "--gamma", "0.3"],
+        }[command]
+        assert run_cli(*argv, "--model", "uniform-flip", "--seed", -1) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
     def test_trial_within_budget_all_covered(self, tmp_path, capsys):
         report = tmp_path / "trials.json"
         code = run_cli(
@@ -527,10 +538,10 @@ class TestErrorHandling:
 
 # Numeric CLI arguments: small values, zero, negatives and huge ints; floats
 # include nan and +-inf.  Canvases stay <= 256 and --trials <= 3, so that no
-# example allocates more than a few MB.  A blank input is answered without
-# walking the schedule, so its --t-max goes up to 10**9; on the patch input
-# --t-max stays <= 30, because with a --beta near 1 the schedule can take
-# millions of steps to reach the patch.
+# example allocates more than a few MB; bench canvases stay <= 64 and its
+# repetition counts <= 2, so that no example takes long.  A blank input is
+# answered without walking the schedule and a patch's stopping step is found
+# in closed form, so --t-max goes up to 10**9 on both inputs.
 INTS = st.one_of(
     st.integers(-3, 40), st.sampled_from([-(10**20), 2**63, 10**20, 2**64 + 1])
 )
@@ -610,6 +621,34 @@ class TestNumericArguments:
             argv.append(f"--fixed-gamma={fixed_gamma}")
         if union_ps:
             argv.append("--union-ps")
+        assert run_cli(*argv) in EXIT_CODES
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        source=st.sampled_from(["patch.pbm", "blank.pbm"]),
+        sizes=st.lists(INTS, min_size=1, max_size=4),
+        gamma=FLOATS, diff=st.booleans(),
+    )
+    def test_oracle(self, fuzz_dir, source, sizes, gamma, diff):
+        argv = ["oracle", fuzz_dir / source, f"--sizes={','.join(map(str, sizes))}",
+                f"--gamma={gamma}", "-o", fuzz_dir / "oracle.pbm"]
+        if diff:
+            argv.append(f"--diff={fuzz_dir / 'patch.pbm'}")
+        assert run_cli(*argv) in EXIT_CODES
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        canvases=st.lists(st.integers(-2, 64), max_size=3),
+        sizes=st.lists(INTS, min_size=1, max_size=3),
+        reps=st.integers(-2, 2), oracle_reps=st.integers(-2, 2),
+        no_oracle=st.booleans(),
+    )
+    def test_bench(self, fuzz_dir, canvases, sizes, reps, oracle_reps, no_oracle):
+        argv = ["bench", f"--canvases={','.join(map(str, canvases))}",
+                f"--sizes={','.join(map(str, sizes))}", f"--reps={reps}",
+                f"--oracle-reps={oracle_reps}", "--report", fuzz_dir / "bench.json"]
+        if no_oracle:
+            argv.append("--no-oracle")
         assert run_cli(*argv) in EXIT_CODES
 
 

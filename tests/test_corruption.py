@@ -353,3 +353,15 @@ class TestGuaranteeTrial:
         monkeypatch.setattr(corruption, "corrupt_outcome", no_draw)
         with pytest.raises(ValueError, match=f"^patch size must be >= 1, got {size}$"):
             guarantee_trial(size, (20, 20), 0.3, CorruptionModel(kind, 1, 0))
+
+    @pytest.mark.parametrize(
+        "gamma,error", [(1.0, ValueError), (float("nan"), ValueError), (True, TypeError)]
+    )
+    def test_gamma_is_checked_before_drawing(self, monkeypatch, gamma, error):
+        def no_draw(*args):
+            raise AssertionError("a ground truth was drawn and corrupted")
+
+        monkeypatch.setattr(corruption, "corrupt_outcome", no_draw)
+        model = CorruptionModel(CorruptionKind.UNIFORM_FLIP, 1, 0)
+        with pytest.raises(error, match="^gamma must"):
+            guarantee_trial(8, (20, 20), gamma, model)

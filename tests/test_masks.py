@@ -1,10 +1,12 @@
-"""mask primitives: validation, popcounts and unions; the engine's
+"""mask primitives: validation, popcounts and unions; the integer reader
+behind every size, canvas, count, budget and seed argument; the engine's
 summed-area table, window sums read off it, and the Hamming distance plane
 built on it.  Expected values come from independent little oracles written
 inline (double loops, XOR popcounts) rather than from the code under test.
 """
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +15,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_mask
-from maskcomplete import as_mask, popcount, union
+from maskcomplete import (
+    CorruptionModel,
+    GammaSchedule,
+    as_mask,
+    complete_fixed_gamma,
+    complete_single_size,
+    distance_cutoff,
+    gamma_search,
+    generate_shape_mask,
+    guarantee_trial,
+    normalize_sizes,
+    oracle_complete_single,
+    oracle_min_distance,
+    popcount,
+    run_benchmark,
+    union,
+)
 from maskcomplete import completion
 from maskcomplete.completion import _distances, _summed_area, _table_dtype
 
@@ -52,6 +70,95 @@ class TestAsMask:
 def table_of(mask):
     """The engine's summed-area table of a whole mask."""
     return _summed_area(mask)
+
+
+_MASK = np.eye(8, dtype=np.uint8)
+_MODEL = CorruptionModel("uniform-flip", 1, 0)
+
+
+def _bench(**kwargs):
+    args = {"canvases": (16,), "sizes": (4,), "repeats": 1, "include_oracle": False}
+    return run_benchmark(**{**args, **kwargs})
+
+
+# Every integer argument of the library: (call with the value v, the name its
+# errors give, the least value accepted, a valid value).
+INTEGER_ARGUMENTS = {
+    "normalize_sizes": (lambda v: normalize_sizes([v]), "patch size", 1, 3),
+    "gamma_search": (lambda v: gamma_search(_MASK, [v]), "patch size", 1, 3),
+    "complete_fixed_gamma": (
+        lambda v: complete_fixed_gamma(_MASK, [v], 0.5), "patch size", 1, 3
+    ),
+    "complete_single_size": (
+        lambda v: complete_single_size(_MASK, v, 0.5), "patch size", 1, 3
+    ),
+    "distance_cutoff": (lambda v: distance_cutoff(0.5, v), "patch size", 1, 3),
+    "t_max": (lambda v: GammaSchedule(t_max=v), "t_max", 1, 3),
+    "trial size": (
+        lambda v: guarantee_trial(v, (20, 20), 0.3, _MODEL), "patch size", 1, 3
+    ),
+    "trial canvas": (
+        lambda v: guarantee_trial(3, (20, v), 0.3, _MODEL), "canvas", 1, 20
+    ),
+    "budget": (lambda v: CorruptionModel("uniform-flip", v, 0), "budget", 0, 3),
+    "seed": (lambda v: CorruptionModel("uniform-flip", 1, v), "seed", 0, 3),
+    "oracle_complete_single": (
+        lambda v: oracle_complete_single(_MASK, v, 0.5), "patch size", 1, 3
+    ),
+    "oracle_min_distance": (
+        lambda v: oracle_min_distance(_MASK, v), "patch size", 1, 3
+    ),
+    "shape size": (
+        lambda v: generate_shape_mask("square", v, None, (20, 20)), "shape size", 1, 3
+    ),
+    "shape canvas": (
+        lambda v: generate_shape_mask("square", 3, None, (v, 20)), "canvas", 1, 20
+    ),
+    "canvases": (lambda v: _bench(canvases=(v,)), "canvases", 1, 16),
+    "repeats": (lambda v: _bench(repeats=v), "repeats", 1, 1),
+    "oracle_repeats": (lambda v: _bench(oracle_repeats=v), "oracle_repeats", 1, 1),
+}
+
+
+class TestIntegerArguments:
+    """One reader decides every integer argument: no truncation, one message."""
+
+    @pytest.mark.parametrize("value", [3.9, True, np.bool_(True), "3", Fraction(3)])
+    @pytest.mark.parametrize("site", INTEGER_ARGUMENTS)
+    def test_non_integers_raise_type_error(self, site, value):
+        call, name, _, _ = INTEGER_ARGUMENTS[site]
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            call(value)
+
+    @pytest.mark.parametrize(
+        "below", [lambda least: least - 1, lambda least: -3], ids=["least-1", "-3"]
+    )
+    @pytest.mark.parametrize("site", INTEGER_ARGUMENTS)
+    def test_values_below_least_raise_value_error(self, site, below):
+        call, name, least, _ = INTEGER_ARGUMENTS[site]
+        value = below(least)
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {value}$"):
+            call(value)
+
+    @pytest.mark.parametrize("cast", [np.int64, np.uint8])
+    @pytest.mark.parametrize("site", INTEGER_ARGUMENTS)
+    def test_numpy_integers_are_accepted(self, site, cast):
+        call, _, _, valid = INTEGER_ARGUMENTS[site]
+        call(cast(valid))
+
+    @pytest.mark.parametrize(
+        "size",
+        [3.9, 3.0, True, np.bool_(False), "3", Fraction(3), None, 0, -3, 2**64,
+         np.int64(3), np.uint8(1), 3, 8, 9],
+    )
+    def test_engine_and_oracle_read_sizes_alike(self, size):
+        outcomes = []
+        for complete in (complete_single_size, oracle_complete_single):
+            try:
+                outcomes.append(complete(_MASK, size, 0.5).tolist())
+            except (TypeError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestIntegralImage:
