@@ -64,27 +64,18 @@ def _parse_sizes(text):
     return normalize_sizes(_parse_ints(text, "sizes", "patch size"))
 
 
-def _parse_canvas(text):
-    raw = text.lower().replace("x", ",").split(",")
-    try:
-        dims = [int(p) for p in raw if p.strip()]
-    except ValueError:
-        dims = []
-    if len(dims) == 1:
-        dims = [dims[0], dims[0]]
-    if len(dims) != 2 or dims[0] < 1 or dims[1] < 1:
-        raise ValueError(f"canvas must look like HxW or a single size, got {text!r}")
-    return dims[0], dims[1]
+def _parse_pair(text, name, form):
+    """Two integers split by "x" or ","; a single one stands for both.
 
-
-def _parse_anchor(text):
-    if text is None:
-        return None
+    Only the spelling is checked here; the library checks the range.
+    """
     try:
-        row, col = (int(p) for p in text.split(","))
+        pair = _parse_ints(text.lower().replace("x", ","), name, name)
     except ValueError:
-        raise ValueError(f"anchor must look like ROW,COL, got {text!r}")
-    return row, col
+        pair = []
+    if len(pair) not in (1, 2):
+        raise ValueError(f"{name} must look like {form}, got {text!r}")
+    return pair[0], pair[-1]
 
 
 def _write_report(path, command, **sections):
@@ -174,9 +165,9 @@ def _cmd_oracle(args):
 
 
 def _cmd_gen(args):
-    mask = generate_shape_mask(
-        ShapeKind(args.kind), args.n, _parse_anchor(args.anchor), _parse_canvas(args.canvas)
-    )
+    anchor = None if args.anchor is None else _parse_pair(args.anchor, "anchor", "ROW,COL")
+    canvas = _parse_pair(args.canvas, "canvas", "HxW or a single size")
+    mask = generate_shape_mask(ShapeKind(args.kind), args.n, anchor, canvas)
     write_pbm(mask, args.output, fmt=args.format.upper())
     print(f"wrote {args.output}: {args.kind} n={args.n}, popcount {popcount(mask)}")
     return 0
@@ -208,7 +199,7 @@ def _cmd_corrupt(args):
 
 def _cmd_trial(args):
     trials = as_int(args.trials, "trials", 1)
-    canvas = _parse_canvas(args.canvas)
+    canvas = _parse_pair(args.canvas, "canvas", "HxW or a single size")
     budget = args.budget
     if budget is None:
         budget = distance_cutoff(args.gamma, args.size)

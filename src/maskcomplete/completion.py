@@ -22,14 +22,13 @@ the step costs one exact threshold, not a walk over the steps before it.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .masks import as_int, as_mask
+from .masks import as_gamma, as_int, as_mask
 
 __all__ = [
     "GammaSchedule",
@@ -42,31 +41,6 @@ __all__ = [
 ]
 
 
-def _exact_gamma(gamma) -> Fraction:
-    """Validate gamma and return its exact value as a Fraction.
-
-    Floats are taken at their exact binary value; Fractions pass through
-    unchanged.  Anything outside [0, 1) is rejected -- at gamma >= 1 every
-    placement of the patch would qualify and the completion would be the
-    whole image, which is never useful.
-    """
-    if isinstance(gamma, Fraction):
-        g = gamma
-    elif isinstance(gamma, (bool, np.bool_)):
-        raise TypeError("gamma must be a number, not a bool")
-    elif isinstance(gamma, (int, np.integer)):
-        g = Fraction(int(gamma))
-    elif isinstance(gamma, (float, np.floating)):
-        if not math.isfinite(gamma):
-            raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-        g = Fraction(float(gamma))
-    else:
-        raise TypeError(f"gamma must be float or Fraction, got {type(gamma)!r}")
-    if not 0 <= g < 1:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    return g
-
-
 def distance_cutoff(gamma, size) -> int:
     """Largest integer d with d / size**2 <= gamma, computed exactly.
 
@@ -74,7 +48,7 @@ def distance_cutoff(gamma, size) -> int:
     cutoff; precomputing the integer removes all per-candidate rounding
     concerns.
     """
-    return int(_exact_gamma(gamma) * as_int(size, "patch size", 1) ** 2)
+    return int(as_gamma(gamma) * as_int(size, "patch size", 1) ** 2)
 
 
 def normalize_sizes(sizes) -> tuple:
@@ -119,8 +93,8 @@ class GammaSchedule:
 
     def gamma(self, t: int) -> Fraction:
         """Exact threshold for step t (1-based)."""
-        t = operator.index(t)
-        if not 1 <= t <= self.t_max:
+        t = as_int(t, "step", 1)
+        if t > self.t_max:
             raise ValueError(f"step must lie in [1, {self.t_max}], got {t}")
         a, b = self._exact
         return 1 - a * b ** (t - 1)
@@ -264,12 +238,11 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
         window.  A size larger than the image yields the all-zero mask.
     """
     mask = as_mask(observed)
-    cutoff = distance_cutoff(gamma, size)  # reads gamma, then size
-    s = operator.index(size)
+    g, s = as_gamma(gamma), as_int(size, "patch size", 1)
     H, W = mask.shape
     if s > H or s > W:
         return np.zeros((H, W), dtype=np.uint8)
-    return _cover(_distances(_summed_area(mask), s) <= cutoff, s)
+    return _cover(_distances(_summed_area(mask), s) <= int(g * (s * s)), s)
 
 
 def _complete(mask, sizes, first_step):
@@ -326,7 +299,7 @@ def complete_fixed_gamma(observed, sizes, gamma):
     (ndarray, CompletionReport)
     """
     mask, sizes = as_mask(observed), normalize_sizes(sizes)
-    g = _exact_gamma(gamma)
+    g = as_gamma(gamma)
     return _complete(mask, sizes, lambda rho: (1, g if g >= rho else None))
 
 

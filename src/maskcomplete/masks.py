@@ -4,19 +4,24 @@ All masks are 2-D numpy arrays with values in {0, 1} (dtype uint8 by
 convention).  Every count in this module is computed in plain
 integer arithmetic; no floating point is involved anywhere.
 
-The two readers decide what the rest of the package accepts: :func:`as_mask`
-for masks, and :func:`as_int` for every integer argument (patch and shape
-sizes, canvases, counts, budgets and seeds).  An integer argument is never
-truncated: a bool, a float, a str or a Fraction raises TypeError.
+The three readers decide what the rest of the package accepts:
+:func:`as_mask` for masks, :func:`as_int` for every integer argument (patch
+and shape sizes, canvases, anchors, steps, counts, budgets and seeds), and
+:func:`as_gamma` for every threshold, which the engine and the oracle both
+read through it.  An integer argument is never truncated: a bool, a float,
+a str or a Fraction raises TypeError.
 """
 
+import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "as_mask",
     "as_int",
+    "as_gamma",
     "popcount",
     "union",
 ]
@@ -68,6 +73,32 @@ def as_int(value, name, least) -> int:
     if v < least:
         raise ValueError(f"{name} must be >= {least}, got {v}")
     return v
+
+
+def as_gamma(gamma) -> Fraction:
+    """Read the threshold ``gamma`` and return its exact value as a Fraction.
+
+    Floats (numpy's included) are taken at their exact binary value;
+    integers and Fractions pass through unchanged.  A bool, a str, a
+    Decimal or None raises TypeError.  Anything outside [0, 1) raises
+    ValueError -- at gamma >= 1 every placement of the patch would qualify
+    and the completion would be the whole image, which is never useful.
+    """
+    if isinstance(gamma, Fraction):
+        g = gamma
+    elif isinstance(gamma, (bool, np.bool_)):
+        raise TypeError("gamma must be a number, not a bool")
+    elif isinstance(gamma, (int, np.integer)):
+        g = Fraction(int(gamma))
+    elif isinstance(gamma, (float, np.floating)):
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+        g = Fraction(float(gamma))
+    else:
+        raise TypeError(f"gamma must be float or Fraction, got {type(gamma)!r}")
+    if not 0 <= g < 1:
+        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+    return g
 
 
 def popcount(mask) -> int:

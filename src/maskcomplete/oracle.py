@@ -11,16 +11,17 @@ instead of XOR-ing full images, using the identity
 
 whose correctness is itself checked (in the test suite) against a rescan
 that walks the entire image per candidate.  Patch sizes are read by
-:func:`maskcomplete.masks.as_int`, the package's integer reader, so the
-oracle and the engine reject the same sizes.
+:func:`maskcomplete.masks.as_int` and thresholds by
+:func:`maskcomplete.masks.as_gamma`, the package's readers, so the oracle
+and the engine reject the same sizes and gammas; the acceptance test
+itself stays the oracle's own integer comparison.
 """
 
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .masks import as_int
+from .masks import as_gamma, as_int
 
 __all__ = [
     "PatchCandidate",
@@ -36,21 +37,6 @@ class PatchCandidate(NamedTuple):
     size: int
     row: int
     col: int
-
-
-def _as_ratio(gamma):
-    """gamma as an exact (numerator, denominator) pair; range-checked.
-
-    Deliberately local: the oracle keeps its own arithmetic rather than
-    importing the completion module's cutoff helper.
-    """
-    try:
-        g = Fraction(gamma)
-    except (OverflowError, ValueError):  # inf and nan have no exact ratio
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}") from None
-    if not 0 <= g < 1:
-        raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
-    return g.numerator, g.denominator
 
 
 def _as_bit_rows(mask):
@@ -81,7 +67,8 @@ def _window_distances(bits, s):
 
 def oracle_complete_single(observed, size, gamma) -> np.ndarray:
     """Reference completion: try every window, OR in the accepted ones."""
-    num, den = _as_ratio(gamma)
+    g = as_gamma(gamma)
+    num, den = g.numerator, g.denominator
     bits = _as_bit_rows(observed)
     H = len(bits)
     W = len(bits[0])
@@ -100,11 +87,9 @@ def oracle_complete_single(observed, size, gamma) -> np.ndarray:
 
 def oracle_complete_multi(observed, sizes, gamma) -> np.ndarray:
     """Union of single-size oracle completions over a size set."""
-    _as_ratio(gamma)
-    arr = np.asarray(observed)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"mask must be a nonempty 2-D array, got shape {arr.shape}")
-    out = np.zeros(arr.shape, dtype=np.uint8)
+    as_gamma(gamma)
+    bits = _as_bit_rows(observed)
+    out = np.zeros((len(bits), len(bits[0])), dtype=np.uint8)
     for s in sizes:
         out |= oracle_complete_single(observed, s, gamma)
     return out

@@ -13,7 +13,6 @@ of n*n (checked through n = 150).
 
 import enum
 import math
-import operator
 
 import numpy as np
 
@@ -140,8 +139,8 @@ def generate_shape_mask(kind, n, anchor, canvas) -> np.ndarray:
         Nominal side length; the shape holds close to n*n pixels (exactly
         n*n for SQUARE and RECTANGLE, within 0.5% otherwise for n >= 8).
     anchor : (row, col) or None
-        Top-left corner of the shape's bounding box.  None centers the
-        shape on the canvas.
+        Top-left corner of the shape's bounding box, two integers >= 0.
+        None centers the shape on the canvas.
     canvas : (H, W)
         Output mask dimensions.
 
@@ -168,8 +167,12 @@ def generate_shape_mask(kind, n, anchor, canvas) -> np.ndarray:
     tile = _tile(kind, n)
     h, w = tile.shape
     if anchor is None:
-        anchor = ((H - h) // 2, (W - w) // 2)
-    r, c = operator.index(anchor[0]), operator.index(anchor[1])
+        r, c = (H - h) // 2, (W - w) // 2
+    elif len(anchor) == 2:
+        r, c = (as_int(v, "anchor", 0) for v in anchor)
+    else:
+        raise ValueError(f"anchor must be (row, col), got {anchor!r}")
+    # A centered tile wider than the canvas starts at a negative offset.
     if r < 0 or c < 0 or r + h > H or c + w > W:
         raise ValueError(
             f"{kind.value} of bounding box {h}x{w} at anchor ({r}, {c}) "

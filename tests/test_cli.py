@@ -356,6 +356,46 @@ class TestGen:
             f"error: {kind} of size n=1000000 cannot fit inside a 8x8 canvas\n"
         )
 
+    @pytest.mark.parametrize(
+        "canvas,shape",
+        [("64", (64, 64)), ("64x48", (64, 48)), ("64X48", (64, 48)),
+         ("64,48", (64, 48)), (" 8 x 9 ", (8, 9)), ("5x", (5, 5)), ("x5", (5, 5))],
+    )
+    def test_canvas_spellings(self, tmp_path, canvas, shape):
+        out = tmp_path / "sq.pbm"
+        assert run_cli(
+            "gen", "--kind", "square", "--n", 1, f"--canvas={canvas}", "-o", out
+        ) == 0
+        assert read_pbm(out).shape == shape
+
+    @pytest.mark.parametrize("command", ["gen", "trial"])
+    def test_canvas_below_one_is_the_library_message(self, tmp_path, capsys, command):
+        argv = {
+            "gen": ["gen", "--kind", "square", "--n", 1, "--canvas", "0x5",
+                    "-o", tmp_path / "x.pbm"],
+            "trial": ["trial", "--size", 4, "--canvas", "0x8", "--gamma", "0.3",
+                      "--model", "uniform-flip"],
+        }[command]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == "error: canvas must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "flag,text,form",
+        [("canvas", "1x2x3", "HxW or a single size"),
+         ("canvas", "8xa", "HxW or a single size"),
+         ("anchor", "1,2,3", "ROW,COL"),
+         ("anchor", "", "ROW,COL")],
+    )
+    def test_malformed_pair_is_usage_error(self, tmp_path, capsys, flag, text, form):
+        pairs = {"canvas": "16x16", "anchor": "0,0", flag: text}
+        code = run_cli(
+            "gen", "--kind", "square", "--n", 1, f"--canvas={pairs['canvas']}",
+            f"--anchor={pairs['anchor']}", "-o", tmp_path / "x.pbm",
+        )
+        assert code == 2
+        message = f"error: {flag} must look like {form}, got {text!r}\n"
+        assert capsys.readouterr().err == message
+
 
 class TestCorruptAndTrial:
     def test_corrupt_flip_budget(self, tmp_path):

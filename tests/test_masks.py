@@ -1,12 +1,16 @@
 """mask primitives: validation, popcounts and unions; the integer reader
-behind every size, canvas, count, budget and seed argument; the engine's
+behind every size, canvas, anchor, step, count, budget and seed argument,
+and the gamma reader shared by the engine and the oracle; the engine's
 summed-area table, window sums read off it, and the Hamming distance plane
 built on it.  Expected values come from independent little oracles written
 inline (double loops, XOR popcounts) rather than from the code under test.
 """
 
+import ast
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_mask
+import maskcomplete
 from maskcomplete import (
     CorruptionModel,
     GammaSchedule,
@@ -94,6 +99,7 @@ INTEGER_ARGUMENTS = {
     ),
     "distance_cutoff": (lambda v: distance_cutoff(0.5, v), "patch size", 1, 3),
     "t_max": (lambda v: GammaSchedule(t_max=v), "t_max", 1, 3),
+    "schedule step": (lambda v: GammaSchedule().gamma(v), "step", 1, 3),
     "trial size": (
         lambda v: guarantee_trial(v, (20, 20), 0.3, _MODEL), "patch size", 1, 3
     ),
@@ -113,6 +119,9 @@ INTEGER_ARGUMENTS = {
     ),
     "shape canvas": (
         lambda v: generate_shape_mask("square", 3, None, (v, 20)), "canvas", 1, 20
+    ),
+    "anchor": (
+        lambda v: generate_shape_mask("square", 3, (v, 0), (20, 20)), "anchor", 0, 3
     ),
     "canvases": (lambda v: _bench(canvases=(v,)), "canvases", 1, 16),
     "repeats": (lambda v: _bench(repeats=v), "repeats", 1, 1),
@@ -156,6 +165,58 @@ class TestIntegerArguments:
         for complete in (complete_single_size, oracle_complete_single):
             try:
                 outcomes.append(complete(_MASK, size, 0.5).tolist())
+            except (TypeError, ValueError) as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
+    def test_operator_index_is_called_only_in_as_int(self):
+        sites = []
+        for path in sorted(Path(maskcomplete.__file__).parent.glob("*.py")):
+            finder = _IndexSites(path.stem)
+            finder.visit(ast.parse(path.read_text()))
+            sites += finder.sites
+        assert sites == ["masks.as_int"]
+
+
+class _IndexSites(ast.NodeVisitor):
+    """Functions of one module that use ``operator.index`` or import it by name."""
+
+    def __init__(self, module):
+        self.scope, self.sites = [module], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        if isinstance(node.value, ast.Name) and (node.value.id, node.attr) == (
+            "operator", "index"
+        ):
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "operator":
+            self.sites.append(".".join(self.scope) + ": from operator import")
+
+
+class TestGammaArgument:
+    """One reader decides every threshold, for the engine and the oracle alike."""
+
+    @pytest.mark.parametrize(
+        "gamma",
+        [False, True, np.bool_(True), "0.3", None, Decimal("0.3"),
+         np.float32(0.3), np.float32("nan"), Fraction(3, 10), 0, 0.0, 0.999, 1.0,
+         -0.1, float("nan"), float("inf")],
+    )
+    def test_engine_and_oracle_read_gammas_alike(self, gamma):
+        outcomes = []
+        for complete in (complete_single_size, oracle_complete_single):
+            try:
+                outcomes.append(complete(_MASK, 3, gamma).tolist())
             except (TypeError, ValueError) as exc:
                 outcomes.append((type(exc), str(exc)))
         assert outcomes[0] == outcomes[1]

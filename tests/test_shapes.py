@@ -165,6 +165,11 @@ class TestPlacement:
         with pytest.raises(ValueError):
             generate_shape_mask(ShapeKind.SQUARE, 5, (-1, 0), (10, 10))
 
+    def test_anchor_needs_exactly_two_entries(self):
+        message = r"^anchor must be \(row, col\), got \(0, 0, 7\)$"
+        with pytest.raises(ValueError, match=message):
+            generate_shape_mask(ShapeKind.SQUARE, 5, (0, 0, 7), (10, 10))
+
     def test_kind_accepts_string_value(self):
         mask = generate_shape_mask("circle", 12, None, (60, 60))
         assert popcount(mask) > 0
