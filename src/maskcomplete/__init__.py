@@ -16,7 +16,6 @@ from .completion import (
     complete_single_size,
     distance_cutoff,
     gamma_search,
-    normalize_sizes,
 )
 from .corruption import (
     DEFAULT_SEED,
@@ -27,7 +26,7 @@ from .corruption import (
     corrupt_outcome,
     guarantee_trial,
 )
-from .masks import as_mask, popcount, union
+from .masks import as_mask, normalize_sizes, popcount, union
 from .oracle import (
     PatchCandidate,
     oracle_complete_multi,

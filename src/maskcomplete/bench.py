@@ -14,8 +14,8 @@ import time
 
 import numpy as np
 
-from .completion import complete_single_size, normalize_sizes
-from .masks import as_int
+from .completion import complete_single_size
+from .masks import as_int, normalize_sizes
 from .oracle import oracle_complete_single
 
 __all__ = ["BENCH_GAMMA", "bench_fixture", "time_round_robin", "run_benchmark"]
@@ -75,7 +75,6 @@ def run_benchmark(
     canvases=(512, 1024),
     sizes=(25, 50, 100),
     repeats=3,
-    oracle_repeats=1,
     include_oracle=True,
 ) -> dict:
     """Time the completion engine (and optionally the oracle) per config.
@@ -87,9 +86,9 @@ def run_benchmark(
     largest patch size.  The spread is taken where the candidate grid's
     border effect, and the timing noise relative to the work, are
     smallest.  The sizes of a canvas run round-robin, one call each per
-    round.  The oracle is timed on the smallest canvas only (it is slow by
-    design) and without warmup, since the interpreted path has no caches
-    to prime.
+    round.  The oracle is timed once, on the smallest canvas only (it is
+    slow by design) and without warmup, since the interpreted path has no
+    caches to prime.
     """
     sizes = normalize_sizes(sizes)
     canvases = sorted(as_int(c, "canvases", 1) for c in canvases)
@@ -98,13 +97,12 @@ def run_benchmark(
     if len(set(canvases)) != len(canvases):
         raise ValueError(f"duplicate canvases in {canvases}")
     repeats = as_int(repeats, "repeats", 1)
-    oracle_repeats = as_int(oracle_repeats, "oracle_repeats", 1)
 
     dp_seconds = _time_configs(complete_single_size, canvases, sizes, repeats)
     oracle_seconds = {}
     if include_oracle:
         oracle_seconds = _time_configs(
-            oracle_complete_single, canvases[:1], sizes, oracle_repeats, warmup=False
+            oracle_complete_single, canvases[:1], sizes, 1, warmup=False
         )
 
     report = {
@@ -113,7 +111,6 @@ def run_benchmark(
             "canvases": list(canvases),
             "sizes": list(sizes),
             "repeats": repeats,
-            "oracle_repeats": oracle_repeats,
             "gamma": BENCH_GAMMA,
             "include_oracle": bool(include_oracle),
         },

@@ -29,7 +29,6 @@ from .completion import (
     complete_fixed_gamma,
     distance_cutoff,
     gamma_search,
-    normalize_sizes,
 )
 from .corruption import (
     DEFAULT_SEED,
@@ -38,7 +37,7 @@ from .corruption import (
     corrupt_outcome,
     guarantee_trial,
 )
-from .masks import as_int, popcount, union
+from .masks import as_int, normalize_sizes, popcount, union
 from .oracle import oracle_complete_multi
 from .pbm import PBMFormatError, atomic_write_text, read_pbm, write_pbm
 from .shapes import ShapeKind, generate_shape_mask
@@ -65,17 +64,16 @@ def _parse_sizes(text):
 
 
 def _parse_pair(text, name, form):
-    """Two integers split by "x" or ","; a single one stands for both.
+    """Integers split by "x" or ","; a single one stands for both.
 
-    Only the spelling is checked here; the library checks the range.
+    Only the spelling is checked here; the library checks the count and
+    the range.
     """
     try:
         pair = _parse_ints(text.lower().replace("x", ","), name, name)
     except ValueError:
-        pair = []
-    if len(pair) not in (1, 2):
-        raise ValueError(f"{name} must look like {form}, got {text!r}")
-    return pair[0], pair[-1]
+        raise ValueError(f"{name} must look like {form}, got {text!r}") from None
+    return pair * 2 if len(pair) == 1 else pair
 
 
 def _write_report(path, command, **sections):
@@ -225,7 +223,7 @@ def _cmd_trial(args):
             "trial",
             config={
                 "size": args.size,
-                "canvas": list(canvas),
+                "canvas": canvas,
                 "gamma": args.gamma,
                 "model": args.model,
                 "budget": budget,
@@ -251,7 +249,6 @@ def _cmd_bench(args):
         canvases=_parse_ints(args.canvases, "canvases", "canvas"),
         sizes=_parse_sizes(args.sizes),
         repeats=args.reps,
-        oracle_repeats=args.oracle_reps,
         include_oracle=not args.no_oracle,
     )
     for engine in ("dp", "oracle"):
@@ -363,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canvases", default="512,1024", help="square canvas sizes")
     p.add_argument("--sizes", default="25,50,100", help="patch sizes")
     p.add_argument("--reps", type=int, default=3, help="engine repetitions")
-    p.add_argument("--oracle-reps", type=int, default=1, help="oracle repetitions")
     p.add_argument("--no-oracle", action="store_true", help="skip the oracle path")
     p.add_argument("--report", help="write the JSON report here")
     p.set_defaults(func=_cmd_bench)

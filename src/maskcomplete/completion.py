@@ -28,12 +28,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .masks import as_gamma, as_int, as_mask
+from .masks import as_gamma, as_int, as_mask, normalize_sizes
 
 __all__ = [
     "GammaSchedule",
     "CompletionReport",
-    "normalize_sizes",
     "distance_cutoff",
     "complete_single_size",
     "complete_fixed_gamma",
@@ -48,15 +47,8 @@ def distance_cutoff(gamma, size) -> int:
     cutoff; precomputing the integer removes all per-candidate rounding
     concerns.
     """
-    return int(as_gamma(gamma) * as_int(size, "patch size", 1) ** 2)
-
-
-def normalize_sizes(sizes) -> tuple:
-    """Canonicalize a collection of patch sizes: ints >= 1, strictly increasing."""
-    out = tuple(sorted(as_int(s, "patch size", 1) for s in sizes))
-    if len(set(out)) != len(out):
-        raise ValueError(f"duplicate patch sizes in {sizes}")
-    return out
+    s = as_int(size, "patch size", 1)
+    return int(as_gamma(gamma) * s * s)
 
 
 @dataclass(frozen=True)
@@ -237,8 +229,8 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
         H×W uint8 mask: 1 exactly on pixels inside at least one accepted
         window.  A size larger than the image yields the all-zero mask.
     """
-    mask = as_mask(observed)
-    g, s = as_gamma(gamma), as_int(size, "patch size", 1)
+    mask, s = as_mask(observed), as_int(size, "patch size", 1)
+    g = as_gamma(gamma)
     H, W = mask.shape
     if s > H or s > W:
         return np.zeros((H, W), dtype=np.uint8)

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .completion import complete_single_size, distance_cutoff
-from .masks import as_int, as_mask
+from .masks import as_int, as_mask, as_pair
 
 __all__ = [
     "DEFAULT_SEED",
@@ -79,25 +79,17 @@ class TrialRecord:
     passed: bool
 
 
-def _neighbors(core):
-    """The four 4-neighbor views of ``core`` (the image border reads 0)."""
-    p = np.zeros((core.shape[0] + 2, core.shape[1] + 2), dtype=bool)
-    p[1:-1, 1:-1] = core
-    return p[:-2, 1:-1], p[2:, 1:-1], p[1:-1, :-2], p[1:-1, 2:]
+def _frontier(mask, value):
+    """Pixels not equal to ``value`` that are 4-adjacent to one that is.
 
-
-def _inner_boundary(mask):
-    """1-pixels with a 4-neighbor equal to 0 (image border counts as 0)."""
-    core = mask.astype(bool)
-    up, down, left, right = _neighbors(core)
-    return core & ~(up & down & left & right)
-
-
-def _outer_boundary(mask):
-    """0-pixels 4-adjacent to some 1-pixel."""
-    core = mask.astype(bool)
-    up, down, left, right = _neighbors(core)
-    return (up | down | left | right) & ~core
+    The image border reads 0, so with ``value`` 0 the frontier is the
+    patch's inner boundary (its 1-pixels next to a 0 or the edge), and with
+    ``value`` 1 its outer boundary (the 0-pixels next to a 1).
+    """
+    p = np.full((mask.shape[0] + 2, mask.shape[1] + 2), value == 0)
+    p[1:-1, 1:-1] = mask == value
+    near = p[:-2, 1:-1] | p[2:, 1:-1] | p[1:-1, :-2] | p[1:-1, 2:]
+    return near & (mask != value)
 
 
 def _uniform_flip(mask, budget, rng):
@@ -109,13 +101,13 @@ def _uniform_flip(mask, budget, rng):
     return out, take, take < budget
 
 
-def _peel(mask, budget, rng, frontier, value):
+def _peel(mask, budget, rng, value):
     # Set frontier pixels to ``value`` layer by layer until the budget (or
     # the frontier) is exhausted; each one is an exact single-pixel flip.
     out = mask.copy()
     done = 0
     while done < budget:
-        candidates = np.flatnonzero(frontier(out))
+        candidates = np.flatnonzero(_frontier(out, value))
         if candidates.size == 0:
             break
         take = min(budget - done, candidates.size)
@@ -155,8 +147,8 @@ def _split_hole(mask, budget, rng):
 
 _APPLY = {
     CorruptionKind.UNIFORM_FLIP: _uniform_flip,
-    CorruptionKind.ERODE_BOUNDARY: partial(_peel, frontier=_inner_boundary, value=0),
-    CorruptionKind.DILATE_OUTSIDE: partial(_peel, frontier=_outer_boundary, value=1),
+    CorruptionKind.ERODE_BOUNDARY: partial(_peel, value=0),
+    CorruptionKind.DILATE_OUTSIDE: partial(_peel, value=1),
     CorruptionKind.SPLIT_HOLE: _split_hole,
 }
 
@@ -190,7 +182,7 @@ def guarantee_trial(s, canvas, gamma, model) -> TrialRecord:
     patch is drawn.
     """
     s = as_int(s, "patch size", 1)
-    H, W = as_int(canvas[0], "canvas", 1), as_int(canvas[1], "canvas", 1)
+    H, W = as_pair(canvas, "canvas", 1)
     if s > H or s > W:
         raise ValueError(f"patch size {s} does not fit a {H}x{W} canvas")
     cutoff = distance_cutoff(gamma, s)

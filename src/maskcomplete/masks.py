@@ -4,12 +4,14 @@ All masks are 2-D numpy arrays with values in {0, 1} (dtype uint8 by
 convention).  Every count in this module is computed in plain
 integer arithmetic; no floating point is involved anywhere.
 
-The three readers decide what the rest of the package accepts:
-:func:`as_mask` for masks, :func:`as_int` for every integer argument (patch
-and shape sizes, canvases, anchors, steps, counts, budgets and seeds), and
-:func:`as_gamma` for every threshold, which the engine and the oracle both
-read through it.  An integer argument is never truncated: a bool, a float,
-a str or a Fraction raises TypeError.
+The readers here decide the form every argument must take, and no other
+module reads one itself: :func:`as_mask` for every mask, :func:`as_int` for
+every integer argument (patch and shape sizes, steps, counts, budgets and
+seeds), :func:`as_pair` for canvases and anchors, :func:`normalize_sizes`
+for size sets and :func:`as_gamma` for every threshold.  The engine and the
+oracle read through the same ones, mask first, then size(s), then gamma.
+An integer argument is never truncated: a bool, a float, a str or a
+Fraction raises TypeError.
 """
 
 import math
@@ -21,6 +23,8 @@ import numpy as np
 __all__ = [
     "as_mask",
     "as_int",
+    "as_pair",
+    "normalize_sizes",
     "as_gamma",
     "popcount",
     "union",
@@ -73,6 +77,27 @@ def as_int(value, name, least) -> int:
     if v < least:
         raise ValueError(f"{name} must be >= {least}, got {v}")
     return v
+
+
+def as_pair(value, name, least) -> tuple:
+    """Read the pair argument ``name``, two integers each at least ``least``.
+
+    Anything that is not exactly two entries raises ValueError naming the
+    argument; each entry is read by :func:`as_int`.
+    """
+    try:
+        a, b = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be two integers, got {value!r}") from None
+    return as_int(a, name, least), as_int(b, name, least)
+
+
+def normalize_sizes(sizes) -> tuple:
+    """Canonicalize a collection of patch sizes: ints >= 1, strictly increasing."""
+    out = tuple(sorted(as_int(s, "patch size", 1) for s in sizes))
+    if len(set(out)) != len(out):
+        raise ValueError(f"duplicate patch sizes in {sizes}")
+    return out
 
 
 def as_gamma(gamma) -> Fraction:

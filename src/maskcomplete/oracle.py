@@ -10,18 +10,20 @@ instead of XOR-ing full images, using the identity
     d = s*s + total_ones - 2 * ones_inside_window
 
 whose correctness is itself checked (in the test suite) against a rescan
-that walks the entire image per candidate.  Patch sizes are read by
-:func:`maskcomplete.masks.as_int` and thresholds by
-:func:`maskcomplete.masks.as_gamma`, the package's readers, so the oracle
-and the engine reject the same sizes and gammas; the acceptance test
-itself stays the oracle's own integer comparison.
+that walks the entire image per candidate.  Masks, patch sizes and
+thresholds are read by :mod:`maskcomplete.masks`, the package's readers
+(:func:`~maskcomplete.masks.as_mask`, :func:`~maskcomplete.masks.as_int`,
+:func:`~maskcomplete.masks.normalize_sizes` and
+:func:`~maskcomplete.masks.as_gamma`), in the engine's order, so the oracle
+and the engine reject the same inputs with the same errors; the window
+enumeration and the acceptance test stay the oracle's own.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from .masks import as_gamma, as_int
+from .masks import as_gamma, as_int, as_mask, normalize_sizes
 
 __all__ = [
     "PatchCandidate",
@@ -39,18 +41,6 @@ class PatchCandidate(NamedTuple):
     col: int
 
 
-def _as_bit_rows(mask):
-    arr = np.asarray(mask)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"mask must be a nonempty 2-D array, got shape {arr.shape}")
-    rows = [[int(v) for v in row] for row in arr.tolist()]
-    for row in rows:
-        for v in row:
-            if v not in (0, 1):
-                raise ValueError("mask values must be exactly 0 or 1")
-    return rows
-
-
 def _window_distances(bits, s):
     """Yield ``(row, col, distance)`` for every s-by-s window, row-major."""
     H = len(bits)
@@ -66,33 +56,25 @@ def _window_distances(bits, s):
 
 
 def oracle_complete_single(observed, size, gamma) -> np.ndarray:
-    """Reference completion: try every window, OR in the accepted ones."""
-    g = as_gamma(gamma)
-    num, den = g.numerator, g.denominator
-    bits = _as_bit_rows(observed)
-    H = len(bits)
-    W = len(bits[0])
-    s = as_int(size, "patch size", 1)
-    out = [[0] * W for _ in range(H)]
-    if s > H or s > W:
-        return np.array(out, dtype=np.uint8)
-
-    for i, j, dist in _window_distances(bits, s):
-        # accept iff dist / s^2 <= num / den, in exact integer form
-        if dist * den <= num * s * s:
-            for out_row in out[i : i + s]:
-                out_row[j : j + s] = [1] * s
-    return np.array(out, dtype=np.uint8)
+    """Reference completion for one patch size: :func:`oracle_complete_multi` on it."""
+    return oracle_complete_multi(observed, [size], gamma)
 
 
 def oracle_complete_multi(observed, sizes, gamma) -> np.ndarray:
-    """Union of single-size oracle completions over a size set."""
-    as_gamma(gamma)
-    bits = _as_bit_rows(observed)
-    out = np.zeros((len(bits), len(bits[0])), dtype=np.uint8)
+    """Reference completion: try every window of every size, OR in the accepted ones."""
+    bits = as_mask(observed).tolist()
+    sizes = normalize_sizes(sizes)
+    g = as_gamma(gamma)
+    num, den = g.numerator, g.denominator
+    out = [[0] * len(bits[0]) for _ in bits]
     for s in sizes:
-        out |= oracle_complete_single(observed, s, gamma)
-    return out
+        # a size that does not fit has no windows and adds nothing
+        for i, j, dist in _window_distances(bits, s):
+            # accept iff dist / s^2 <= num / den, in exact integer form
+            if dist * den <= num * s * s:
+                for out_row in out[i : i + s]:
+                    out_row[j : j + s] = [1] * s
+    return np.array(out, dtype=np.uint8)
 
 
 def oracle_min_distance(observed, size):
@@ -101,7 +83,7 @@ def oracle_min_distance(observed, size):
     Returns ``(distance, PatchCandidate)``.  Raises when no window of the
     requested size fits in the image.
     """
-    bits = _as_bit_rows(observed)
+    bits = as_mask(observed).tolist()
     H = len(bits)
     W = len(bits[0])
     s = as_int(size, "patch size", 1)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .masks import as_int
+from .masks import as_int, as_pair
 
 __all__ = ["ShapeKind", "generate_shape_mask"]
 
@@ -142,7 +142,7 @@ def generate_shape_mask(kind, n, anchor, canvas) -> np.ndarray:
         Top-left corner of the shape's bounding box, two integers >= 0.
         None centers the shape on the canvas.
     canvas : (H, W)
-        Output mask dimensions.
+        Output mask dimensions, two integers >= 1.
 
     Returns
     -------
@@ -156,7 +156,9 @@ def generate_shape_mask(kind, n, anchor, canvas) -> np.ndarray:
     """
     kind = ShapeKind(kind)
     n = as_int(n, "shape size", 1)
-    H, W = as_int(canvas[0], "canvas", 1), as_int(canvas[1], "canvas", 1)
+    if anchor is not None:
+        anchor = as_pair(anchor, "anchor", 0)
+    H, W = as_pair(canvas, "canvas", 1)
     # Every kind sets more than n*n/2 pixels, so this rejects only shapes
     # that cannot fit, before their tile is built.
     if n**2 > 2 * H * W:
@@ -166,12 +168,7 @@ def generate_shape_mask(kind, n, anchor, canvas) -> np.ndarray:
 
     tile = _tile(kind, n)
     h, w = tile.shape
-    if anchor is None:
-        r, c = (H - h) // 2, (W - w) // 2
-    elif len(anchor) == 2:
-        r, c = (as_int(v, "anchor", 0) for v in anchor)
-    else:
-        raise ValueError(f"anchor must be (row, col), got {anchor!r}")
+    r, c = ((H - h) // 2, (W - w) // 2) if anchor is None else anchor
     # A centered tile wider than the canvas starts at a negative offset.
     if r < 0 or c < 0 or r + h > H or c + w > W:
         raise ValueError(

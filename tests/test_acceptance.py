@@ -208,9 +208,7 @@ def test_criterion_4_monotonicity_and_symmetry(capfd):
 
 def test_criterion_5_scaling_contract(capfd):
     start = time.perf_counter()
-    report = run_benchmark(
-        canvases=(512, 1024), sizes=(25, 50, 100), repeats=5, oracle_repeats=1
-    )
+    report = run_benchmark(canvases=(512, 1024), sizes=(25, 50, 100), repeats=5)
     area_ratio = report["dp_area_ratio"]
     size_spread = report["dp_size_spread"]
     oracle_growth = report["oracle_growth"]

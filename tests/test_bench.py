@@ -53,8 +53,6 @@ def test_oversized_patch_skipped():
 def test_bad_repeat_counts():
     with pytest.raises(ValueError):
         run_benchmark(canvases=(16,), sizes=(4,), repeats=0)
-    with pytest.raises(ValueError):
-        run_benchmark(canvases=(16,), sizes=(4,), oracle_repeats=0)
 
 
 def test_duplicate_sizes_rejected():

@@ -1,12 +1,13 @@
-"""mask primitives: validation, popcounts and unions; the integer reader
-behind every size, canvas, anchor, step, count, budget and seed argument,
-and the gamma reader shared by the engine and the oracle; the engine's
-summed-area table, window sums read off it, and the Hamming distance plane
-built on it.  Expected values come from independent little oracles written
+"""mask primitives: validation, popcounts and unions; the mask, integer,
+pair and gamma readers that every entry point of the engine and the oracle
+reads its masks, sizes, canvases, anchors, steps, counts, budgets, seeds
+and thresholds through; the engine's summed-area table, window sums read
+off it, and the Hamming distance plane built on it.  Expected values come from independent little oracles written
 inline (double loops, XOR popcounts) rather than from the code under test.
 """
 
 import ast
+import re
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -31,6 +32,7 @@ from maskcomplete import (
     generate_shape_mask,
     guarantee_trial,
     normalize_sizes,
+    oracle_complete_multi,
     oracle_complete_single,
     oracle_min_distance,
     popcount,
@@ -125,7 +127,6 @@ INTEGER_ARGUMENTS = {
     ),
     "canvases": (lambda v: _bench(canvases=(v,)), "canvases", 1, 16),
     "repeats": (lambda v: _bench(repeats=v), "repeats", 1, 1),
-    "oracle_repeats": (lambda v: _bench(oracle_repeats=v), "oracle_repeats", 1, 1),
 }
 
 
@@ -170,19 +171,33 @@ class TestIntegerArguments:
         assert outcomes[0] == outcomes[1]
 
     def test_operator_index_is_called_only_in_as_int(self):
-        sites = []
-        for path in sorted(Path(maskcomplete.__file__).parent.glob("*.py")):
-            finder = _IndexSites(path.stem)
-            finder.visit(ast.parse(path.read_text()))
-            sites += finder.sites
-        assert sites == ["masks.as_int"]
+        assert _use_sites("operator", "index", "operator") == ["masks.as_int"]
 
 
-class _IndexSites(ast.NodeVisitor):
-    """Functions of one module that use ``operator.index`` or import it by name."""
+def _package_sources():
+    """(module name, parsed source) of every module of the package."""
+    return [
+        (path.stem, ast.parse(path.read_text()))
+        for path in sorted(Path(maskcomplete.__file__).parent.glob("*.py"))
+    ]
 
-    def __init__(self, module):
+
+def _use_sites(owner, attr, source):
+    """Functions of the package that use ``owner.attr`` or import from ``source``."""
+    sites = []
+    for module, tree in _package_sources():
+        finder = _UseSites(module, owner, attr, source)
+        finder.visit(tree)
+        sites += finder.sites
+    return sites
+
+
+class _UseSites(ast.NodeVisitor):
+    """Functions of one module that use ``owner.attr`` or import from ``source``."""
+
+    def __init__(self, module, owner, attr, source):
         self.scope, self.sites = [module], []
+        self.target, self.source = (owner, attr), source
 
     def visit_FunctionDef(self, node):
         self.scope.append(node.name)
@@ -192,15 +207,137 @@ class _IndexSites(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Attribute(self, node):
-        if isinstance(node.value, ast.Name) and (node.value.id, node.attr) == (
-            "operator", "index"
-        ):
+        if isinstance(node.value, ast.Name) and (node.value.id, node.attr) == self.target:
             self.sites.append(".".join(self.scope))
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
-        if node.module == "operator":
-            self.sites.append(".".join(self.scope) + ": from operator import")
+        if node.module == self.source:
+            self.sites.append(".".join(self.scope) + f": from {self.source} import")
+
+
+# Every pair argument of the library: (call with the value v, the name its
+# errors give, the least entry accepted, a valid value).
+PAIR_ARGUMENTS = {
+    "trial canvas": (
+        lambda v: guarantee_trial(3, v, 0.3, _MODEL), "canvas", 1, (20, 26)
+    ),
+    "shape canvas": (
+        lambda v: generate_shape_mask("square", 3, None, v), "canvas", 1, (20, 26)
+    ),
+    "anchor": (
+        lambda v: generate_shape_mask("square", 3, v, (20, 20)), "anchor", 0, (2, 5)
+    ),
+}
+
+
+class TestPairArguments:
+    """Canvases and anchors are read by one reader: exactly two checked integers."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [(20,), (20, 20, 5), 20, np.int64(20), (), np.array([20, 20, 5]),
+         np.array([[20, 20], [20, 20], [20, 20]])],
+        ids=["one", "three", "scalar", "numpy-scalar", "empty", "numpy-three",
+             "numpy-rows"],
+    )
+    @pytest.mark.parametrize("site", PAIR_ARGUMENTS)
+    def test_not_two_entries_raise_value_error(self, site, value):
+        call, name, _, _ = PAIR_ARGUMENTS[site]
+        message = f"^{name} must be two integers, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            call(value)
+
+    # INTEGER_ARGUMENTS' rows for these sites cover bool, float, str and
+    # Fraction entries; this checks the range of each of the two entries.
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("site", PAIR_ARGUMENTS)
+    def test_entries_below_least_raise_value_error(self, site, at):
+        call, name, least, valid = PAIR_ARGUMENTS[site]
+        value = list(valid)
+        value[at] = least - 1
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+            call(tuple(value))
+
+    @pytest.mark.parametrize(
+        "cast",
+        [list, np.array, lambda v: np.array(v, dtype=np.uint8)],
+        ids=["list", "numpy", "numpy-uint8"],
+    )
+    @pytest.mark.parametrize("site", PAIR_ARGUMENTS)
+    def test_any_two_integers_read_alike(self, site, cast):
+        call, _, _, valid = PAIR_ARGUMENTS[site]
+        expected = call(valid)
+        got = call(cast(valid))
+        if isinstance(expected, np.ndarray):
+            assert np.array_equal(got, expected)
+        else:
+            assert got == expected and type(got.canvas[0]) is int
+
+    def test_canvas_and_anchor_entries_are_read_only_by_as_pair(self):
+        reads = [
+            f"{module}:{node.lineno}"
+            for module, tree in _package_sources()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("canvas", "anchor")
+        ]
+        assert reads == []
+
+
+# Masks the readers reject, each with the message of as_mask's own error.
+MALFORMED_MASKS = {
+    "float-0-1": np.array([[0.0, 1.0], [1.0, 1.0]]),
+    "float-1.5": np.array([[1.5, 0.0]]),
+    "str": [["1", "0"]],
+    "empty": np.zeros((0, 3), dtype=np.uint8),
+    "1-D": [0, 1, 1],
+    "3-D": np.zeros((2, 2, 2), dtype=np.uint8),
+    "value-2": [[0, 2]],
+}
+
+# Every entry point that reads a mask, called with size 1 and threshold g.
+MASK_READERS = {
+    "complete_single_size": lambda m, g: complete_single_size(m, 1, g),
+    "complete_fixed_gamma": lambda m, g: complete_fixed_gamma(m, [1], g)[0],
+    "oracle_complete_single": lambda m, g: oracle_complete_single(m, 1, g),
+    "oracle_complete_multi": lambda m, g: oracle_complete_multi(m, [1], g),
+    "oracle_min_distance": lambda m, g: oracle_min_distance(m, 1),
+}
+
+
+class TestMaskArgument:
+    """The engine and the oracle read masks through as_mask, before anything else."""
+
+    @pytest.mark.parametrize("gamma", [0.5, True], ids=["gamma", "bad-gamma"])
+    @pytest.mark.parametrize("mask", MALFORMED_MASKS)
+    def test_engine_and_oracle_reject_alike(self, mask, gamma):
+        with pytest.raises(ValueError) as expected:
+            as_mask(MALFORMED_MASKS[mask])
+        for site, call in MASK_READERS.items():
+            with pytest.raises(ValueError) as raised:
+                call(MALFORMED_MASKS[mask], gamma)
+            assert str(raised.value) == str(expected.value), site
+
+    def test_bool_masks_are_accepted(self):
+        mask = np.array([[True, False, True], [True, True, False]])
+        for site, call in MASK_READERS.items():
+            assert repr(call(mask, 0.5)) == repr(call(mask.astype(np.uint8), 0.5)), site
+
+    def test_engine_and_oracle_read_sizes_in_one_order(self):
+        # A bad size comes before a bad gamma, for both sides.
+        for call in (complete_fixed_gamma, oracle_complete_multi):
+            with pytest.raises(ValueError, match="^duplicate patch sizes"):
+                call(_MASK, (1, 1), 0.5)
+            with pytest.raises(TypeError, match="^patch size must be an integer"):
+                call(_MASK, (1.5,), True)
+        for call in (complete_single_size, oracle_complete_single):
+            with pytest.raises(TypeError, match="^patch size must be an integer"):
+                call(_MASK, 1.5, True)
+
+    def test_np_asarray_is_called_only_in_masks(self):
+        assert _use_sites("np", "asarray", "numpy") == ["masks.as_mask"]
 
 
 class TestGammaArgument:

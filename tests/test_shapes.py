@@ -166,7 +166,7 @@ class TestPlacement:
             generate_shape_mask(ShapeKind.SQUARE, 5, (-1, 0), (10, 10))
 
     def test_anchor_needs_exactly_two_entries(self):
-        message = r"^anchor must be \(row, col\), got \(0, 0, 7\)$"
+        message = r"^anchor must be two integers, got \(0, 0, 7\)$"
         with pytest.raises(ValueError, match=message):
             generate_shape_mask(ShapeKind.SQUARE, 5, (0, 0, 7), (10, 10))
 
