@@ -1,10 +1,11 @@
 """Scaling benchmark for the completion engine and the brute-force oracle.
 
 The engine's runtime should track image area and stay flat across patch
-sizes; the oracle's should grow with s**2.  The patch sizes of a canvas
-run round-robin and each keeps its fastest of a few repetitions, so a host
-slowdown moves every size alike and the ratios stay stable enough to
-assert.
+sizes; the oracle's should grow with s**2.  Each timed call completes one
+centered square, drawn by :func:`~maskcomplete.shapes.generate_shape_mask`.
+The patch sizes of a canvas run round-robin and each keeps its fastest of a
+few repetitions, so a host slowdown moves every size alike and the ratios
+stay stable enough to assert.
 """
 
 import functools
@@ -12,25 +13,16 @@ import math
 import statistics
 import time
 
-import numpy as np
-
 from .completion import complete_single_size
 from .masks import as_int, normalize_sizes
 from .oracle import oracle_complete_single
+from .shapes import generate_shape_mask
 
-__all__ = ["BENCH_GAMMA", "bench_fixture", "time_round_robin", "run_benchmark"]
+__all__ = ["BENCH_GAMMA", "time_round_robin", "run_benchmark"]
 
 # Threshold used for all timed runs.  Any value works for timing purposes;
 # a moderate one keeps the accepted-candidate plane non-trivial.
 BENCH_GAMMA = 0.25
-
-
-def bench_fixture(canvas: int, size: int) -> np.ndarray:
-    """Canvas-sized mask holding one centered patch of the given size."""
-    mask = np.zeros((canvas, canvas), dtype=np.uint8)
-    lo = (canvas - size) // 2
-    mask[lo : lo + size, lo : lo + size] = 1
-    return mask
 
 
 def time_round_robin(fns, repeats: int, warmup: bool = True) -> list:
@@ -62,8 +54,11 @@ def _time_configs(complete, canvases, sizes, repeats, warmup=True):
     seconds = {}
     for canvas in canvases:
         fitting = [s for s in sizes if s <= canvas]
+        shape = (canvas, canvas)
         fns = [
-            functools.partial(complete, bench_fixture(canvas, s), s, BENCH_GAMMA)
+            functools.partial(
+                complete, generate_shape_mask("square", s, None, shape), s, BENCH_GAMMA
+            )
             for s in fitting
         ]
         times = time_round_robin(fns, repeats, warmup)
@@ -118,13 +113,13 @@ def run_benchmark(
         "oracle_seconds": oracle_seconds,
     }
 
+    # Every size that fits the smallest canvas fits each larger one too.
     if len(canvases) >= 2:
         small = dp_seconds[str(canvases[0])]
         large = dp_seconds[str(canvases[-1])]
-        shared = [s for s in small if s in large]
-        if shared:
+        if small:
             report["dp_area_ratio"] = statistics.median(
-                large[s] / small[s] for s in shared
+                large[s] / small[s] for s in small
             )
     largest = dp_seconds[str(canvases[-1])]
     if len(largest) >= 2:
@@ -133,6 +128,7 @@ def run_benchmark(
     if include_oracle:
         per_size = oracle_seconds[str(canvases[0])]
         if len(per_size) >= 2:
-            keys = sorted(per_size, key=int)
-            report["oracle_growth"] = per_size[keys[-1]] / per_size[keys[0]]
+            # The sizes are read in increasing order, and keep it.
+            values = list(per_size.values())
+            report["oracle_growth"] = values[-1] / values[0]
     return report

@@ -39,7 +39,7 @@ from .corruption import (
 )
 from .masks import as_int, normalize_sizes, popcount, union
 from .oracle import oracle_complete_multi
-from .pbm import PBMFormatError, atomic_write_text, read_pbm, write_pbm
+from .pbm import PBMFormatError, atomic_write_bytes, read_pbm, write_pbm
 from .shapes import ShapeKind, generate_shape_mask
 
 SCHEMA_VERSION = 1
@@ -78,7 +78,7 @@ def _parse_pair(text, name, form):
 
 def _write_report(path, command, **sections):
     doc = {"schema_version": SCHEMA_VERSION, "command": command, **sections}
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    atomic_write_bytes(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
 
 
 def _input_descriptor(path, mask):
@@ -94,7 +94,6 @@ def _cmd_complete(args):
     start = time.perf_counter()
     observed = read_pbm(args.input)
     sizes = _parse_sizes(args.sizes)
-    fmt = args.format.upper()
 
     if args.fixed_gamma is not None:
         completed, report = complete_fixed_gamma(observed, sizes, args.fixed_gamma)
@@ -108,7 +107,7 @@ def _cmd_complete(args):
     if args.union_ps:
         out = union(observed, completed)
         written = popcount(out)
-    write_pbm(out, args.output, fmt=fmt)
+    write_pbm(out, args.output, fmt=args.format)
 
     if args.report:
         _write_report(
@@ -120,7 +119,7 @@ def _cmd_complete(args):
                 "sizes": list(sizes),
                 **params,
                 "union_ps": args.union_ps,
-                "format": fmt,
+                "format": args.format,
             },
             result={**asdict(report), "output_path": str(args.output)},
             written_popcount=written,
@@ -143,7 +142,7 @@ def _cmd_oracle(args):
     sizes = _parse_sizes(args.sizes)
     out = oracle_complete_multi(observed, sizes, args.gamma)
     if args.output:
-        write_pbm(out, args.output, fmt=args.format.upper())
+        write_pbm(out, args.output, fmt=args.format)
         print(f"wrote {args.output}: popcount {popcount(out)}")
     if args.diff:
         other = read_pbm(args.diff)
@@ -154,7 +153,7 @@ def _cmd_oracle(args):
                 file=sys.stderr,
             )
             return 1
-        differing = int((other != out).sum(dtype=np.int64))
+        differing = int(np.count_nonzero(other != out))
         if differing:
             print(f"MISMATCH: {differing} differing pixels", file=sys.stderr)
             return 1
@@ -166,7 +165,7 @@ def _cmd_gen(args):
     anchor = None if args.anchor is None else _parse_pair(args.anchor, "anchor", "ROW,COL")
     canvas = _parse_pair(args.canvas, "canvas", "HxW or a single size")
     mask = generate_shape_mask(ShapeKind(args.kind), args.n, anchor, canvas)
-    write_pbm(mask, args.output, fmt=args.format.upper())
+    write_pbm(mask, args.output, fmt=args.format)
     print(f"wrote {args.output}: {args.kind} n={args.n}, popcount {popcount(mask)}")
     return 0
 
@@ -175,7 +174,7 @@ def _cmd_corrupt(args):
     observed = read_pbm(args.input)
     model = CorruptionModel(kind=args.model, budget=args.budget, seed=args.seed)
     outcome = corrupt_outcome(observed, model)
-    write_pbm(outcome.mask, args.output, fmt=args.format.upper())
+    write_pbm(outcome.mask, args.output, fmt=args.format)
     if args.report:
         _write_report(
             args.report,
@@ -259,7 +258,7 @@ def _cmd_bench(args):
         if key in report:
             print(f"{key} = {report[key]:.3f}")
     if args.report:
-        atomic_write_text(args.report, json.dumps(report, indent=2) + "\n")
+        _write_report(args.report, "bench", **report)
     return 0
 
 
@@ -281,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_format(p):
         p.add_argument(
             "--format",
-            choices=["p1", "p4"],
-            default="p4",
+            type=str.upper,
+            choices=["P1", "P4"],
+            default="P4",
             help="output PBM flavor (default raw P4)",
         )
 
@@ -291,9 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="completed mask (PBM)")
     p.add_argument("--report", help="write a JSON run report here")
     p.add_argument("--sizes", default="25,50,75,100", help="candidate patch sizes")
-    p.add_argument("--alpha", type=float, default=0.9, help="schedule alpha")
-    p.add_argument("--beta", type=float, default=0.7, help="schedule beta")
-    p.add_argument("--t-max", type=int, default=15, help="schedule iteration cap")
+    p.add_argument(
+        "--alpha", type=float, default=GammaSchedule.alpha, help="schedule alpha"
+    )
+    p.add_argument(
+        "--beta", type=float, default=GammaSchedule.beta, help="schedule beta"
+    )
+    p.add_argument(
+        "--t-max", type=int, default=GammaSchedule.t_max, help="schedule iteration cap"
+    )
     p.add_argument(
         "--fixed-gamma",
         type=float,

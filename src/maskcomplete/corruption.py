@@ -140,7 +140,7 @@ def _split_hole(mask, budget, rng):
     left = int(rng.integers(c0 + 1, c1 - hole_w + 1))
     out = mask.copy()
     region = out[top : top + hole_h, left : left + hole_w]
-    cleared = int(region.sum(dtype=np.int64))
+    cleared = int(np.count_nonzero(region))
     region[...] = 0
     return out, cleared, clamped
 

@@ -95,8 +95,9 @@ def as_pair(value, name, least) -> tuple:
 def normalize_sizes(sizes) -> tuple:
     """Canonicalize a collection of patch sizes: ints >= 1, strictly increasing."""
     out = tuple(sorted(as_int(s, "patch size", 1) for s in sizes))
-    if len(set(out)) != len(out):
-        raise ValueError(f"duplicate patch sizes in {sizes}")
+    for a, b in zip(out, out[1:]):
+        if a == b:
+            raise ValueError(f"duplicate patch sizes: {a} is given more than once")
     return out
 
 
@@ -128,7 +129,7 @@ def as_gamma(gamma) -> Fraction:
 
 def popcount(mask) -> int:
     """Number of 1-bits in the mask."""
-    return int(as_mask(mask).sum(dtype=np.int64))
+    return int(np.count_nonzero(as_mask(mask)))
 
 
 def union(a, b) -> np.ndarray:

@@ -22,7 +22,6 @@ __all__ = [
     "read_pbm",
     "write_pbm",
     "atomic_write_bytes",
-    "atomic_write_text",
 ]
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -124,10 +123,6 @@ def atomic_write_bytes(path, data: bytes):
         except OSError:
             pass
         raise
-
-
-def atomic_write_text(path, text: str):
-    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def read_pbm(path) -> np.ndarray:

@@ -8,17 +8,9 @@ import pytest
 
 from maskcomplete.bench import (
     BENCH_GAMMA,
-    bench_fixture,
     run_benchmark,
     time_round_robin,
 )
-
-
-def test_fixture_is_centered_square():
-    mask = bench_fixture(32, 10)
-    assert mask.shape == (32, 32)
-    assert int(mask.sum()) == 100
-    assert mask[11:21, 11:21].all()
 
 
 def test_report_structure():

@@ -140,6 +140,22 @@ class TestComplete:
         assert p1.read_bytes().startswith(b"P1\n")
         assert np.array_equal(read_pbm(p1), read_pbm(p4))
 
+    @pytest.mark.parametrize("fmt", ["P1", "p1", "P4", "p4"])
+    def test_format_takes_either_case(self, tmp_path, corrupted_fixture, fmt):
+        path, _ = corrupted_fixture
+        out, gen, report = tmp_path / "out.pbm", tmp_path / "gen.pbm", tmp_path / "r.json"
+        assert run_cli(
+            "complete", path, "-o", out, "--sizes", "16", "--format", fmt,
+            "--report", report,
+        ) == 0
+        assert run_cli(
+            "gen", "--kind", "square", "--n", 4, "--canvas", "8x8", "-o", gen,
+            "--format", fmt,
+        ) == 0
+        magic = fmt.upper().encode()
+        assert out.read_bytes().startswith(magic) and gen.read_bytes().startswith(magic)
+        assert json.loads(report.read_text())["config"]["format"] == fmt.upper()
+
 
 def _ordered(value):
     """A JSON value with every object turned into its list of (key, value)
@@ -469,6 +485,7 @@ class TestBench:
         out = capsys.readouterr().out
         assert "dp " in out and "oracle " in out
         doc = json.loads(report.read_text())
+        assert doc["schema_version"] == 1 and doc["command"] == "bench"
         assert set(doc["dp_seconds"]) == {"48", "64"}
         assert "dp_area_ratio" in doc and "oracle_growth" in doc
 
@@ -487,7 +504,11 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "sizes,message",
-        [("4,4", "duplicate patch sizes"), ("", "at least one patch size is required")],
+        [
+            ("4,4", "duplicate patch sizes"),
+            ("8,4,8,4", "duplicate patch sizes: 4 is given more than once\n"),
+            ("", "at least one patch size is required"),
+        ],
     )
     def test_bad_sizes_are_usage_errors(self, capsys, sizes, message):
         code = run_cli("bench", "--canvases", "16", f"--sizes={sizes}", "--no-oracle")

@@ -135,6 +135,14 @@ class TestNormalizeSizes:
         with pytest.raises(ValueError):
             normalize_sizes([0, 3])
 
+    @pytest.mark.parametrize(
+        "wrap", [lambda v: (s for s in v), list, tuple], ids=["generator", "list", "tuple"]
+    )
+    def test_duplicate_message_names_the_smallest_repeat(self, wrap):
+        message = "^duplicate patch sizes: 4 is given more than once$"
+        with pytest.raises(ValueError, match=message):
+            normalize_sizes(wrap([9, 4, 9, 4]))
+
     def test_accepts_integer_types(self):
         assert normalize_sizes([np.int64(8), np.uint8(3)]) == (3, 8)
 

@@ -339,6 +339,19 @@ class TestMaskArgument:
     def test_np_asarray_is_called_only_in_masks(self):
         assert _use_sites("np", "asarray", "numpy") == ["masks.as_mask"]
 
+    def test_no_module_calls_a_sum_method(self):
+        # Every pixel count is np.count_nonzero; the oracle's built-in sum()
+        # calls are no method calls.
+        calls = [
+            f"{module}:{node.lineno}"
+            for module, tree in _package_sources()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "sum"
+        ]
+        assert calls == []
+
 
 class TestGammaArgument:
     """One reader decides every threshold, for the engine and the oracle alike."""
