@@ -101,7 +101,6 @@ def run_benchmark(
         )
 
     report = {
-        "schema_version": 1,
         "config": {
             "canvases": list(canvases),
             "sizes": list(sizes),

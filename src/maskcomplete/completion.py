@@ -13,10 +13,14 @@ and "is this pixel inside some accepted window" is a dilation of the
 accepted window corners by an s-by-s box, about 2 * log2(s) shifted ORs
 over a plane of bytes.
 
-The distance from the observation to each window does not depend on gamma,
-so a search over several thresholds needs only each size's minimum
-distance d: the first threshold at or above the smallest d / s**2 is the
-first with a nonempty completion, and the cover is built once, there.  The
+At a known threshold each fitting size costs one distance plane: its
+accept flags, their count and its cover are built from it in one place,
+shared by all three entry points, and the first nonempty cover is the
+output the later ones are ORed into.  The distance from the observation to
+each window does not depend on gamma, so a search over several thresholds
+first needs only each size's minimum distance d: the first threshold at or
+above the smallest d / s**2 is the first with a nonempty completion, and
+the sizes it accepts get their second plane and their cover there.  The
 geometric schedule is inverted for that ratio in closed form, so finding
 the step costs one exact threshold, not a walk over the steps before it.
 """
@@ -163,12 +167,11 @@ def _distances(table, s) -> np.ndarray:
     fit: s <= H and s <= W.  With four-corner sums of the ones inside,
     d = s^2 + total - 2 * ones_inside, computed in the table's dtype.
     """
-    H, W = table.shape[0] - 1, table.shape[1] - 1
-    d = table[s:, s:] - table[: H - s + 1, s:]
-    d -= table[s:, : W - s + 1]
-    d += table[: H - s + 1, : W - s + 1]
+    d = table[s:, s:] - table[:-s, s:]
+    d -= table[s:, :-s]
+    d += table[:-s, :-s]
     d *= -2
-    d += s * s + int(table[H, W])
+    d += s * s + int(table[-1, -1])
     return d
 
 
@@ -210,6 +213,27 @@ def _cover(accept, s) -> np.ndarray:
     return plane.view(np.uint8)
 
 
+def _union_of_covers(mask, table, cutoffs):
+    """Union of the covers at ``cutoffs``, and each size's accepted-window count.
+
+    ``cutoffs`` maps sizes that fit the mask to their distance cutoffs.  A
+    size gets one distance plane, its accept flags, their count and, when
+    any flag is set, its cover; none of them outlives the size, so the next
+    plane is built beside only the table and the output.  The first
+    nonempty cover becomes the output and each later one is ORed into it;
+    a zero plane is made only when every cover is empty.
+    """
+    out, accepted = None, {}
+    for s, cutoff in cutoffs.items():
+        accept = _distances(table, s) <= cutoff
+        accepted[s] = int(np.count_nonzero(accept))
+        if accepted[s]:
+            cover = _cover(accept, s)
+            out = cover if out is None else np.bitwise_or(out, cover, out=out)
+        accept = cover = None
+    return (np.zeros(mask.shape, np.uint8) if out is None else out), accepted
+
+
 def complete_single_size(observed, size, gamma) -> np.ndarray:
     """Minimal mask covering every acceptable placement of one patch size.
 
@@ -229,60 +253,37 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
         H×W uint8 mask: 1 exactly on pixels inside at least one accepted
         window.  A size larger than the image yields the all-zero mask.
     """
-    mask, s = as_mask(observed), as_int(size, "patch size", 1)
-    g = as_gamma(gamma)
-    H, W = mask.shape
-    if s > H or s > W:
-        return np.zeros((H, W), dtype=np.uint8)
-    return _cover(_distances(_summed_area(mask), s) <= int(g * (s * s)), s)
+    mask, s, g = as_mask(observed), as_int(size, "patch size", 1), as_gamma(gamma)
+    if s > min(mask.shape):
+        return np.zeros(mask.shape, dtype=np.uint8)
+    return _union_of_covers(mask, _summed_area(mask), {s: int(g * (s * s))})[0]
 
 
-def _complete(mask, sizes, first_step):
-    """Multi-size completion at the first threshold with a nonempty result.
+def _complete(mask, sizes, table, cutoffs, step, gamma):
+    """Completion over ``cutoffs``, reported as step ``step`` at ``gamma``.
 
-    A window of size s is accepted at threshold gamma iff its distance is at
-    most floor(gamma * s**2); distances are integers, so that holds iff
-    gamma >= d / s**2.  The smallest ratio rho of a size's minimum window
-    distance to s**2 therefore decides the search: ``first_step(rho)``
-    returns the step to report and the first threshold that reaches rho,
-    or None in its place when no threshold does.  No gamma below 1 reaches
-    a ratio of 1 (a blank mask, or no size fits).  Only the sizes accepted
-    at the chosen threshold get their cover built.
+    ``cutoffs`` holds the fitting sizes worth a distance pass, each with its
+    cutoff floor(gamma * s**2); every other size of ``sizes`` accepts no
+    window.  ``gamma`` is reported as used when some size accepts one.
     """
-    H, W = mask.shape
-    fitting = [s for s in sizes if s <= H and s <= W]
-    skipped = tuple(s for s in sizes if s > H or s > W)
-    accepted = dict.fromkeys(sizes, 0)
-
-    table = _summed_area(mask)
-    # One distance plane alive at a time: only its minimum is kept.
-    d_min = {s: int(_distances(table, s).min()) for s in fitting}
-    rho = min((Fraction(d, s * s) for s, d in d_min.items()), default=Fraction(1))
-    step, gamma = first_step(rho)
-    cutoffs = {} if gamma is None else {s: int(gamma * (s * s)) for s in fitting}
-
-    out = np.zeros((H, W), dtype=np.uint8)
-    for s, cutoff in cutoffs.items():
-        if d_min[s] <= cutoff:
-            accept = _distances(table, s) <= cutoff
-            accepted[s] = int(np.count_nonzero(accept))
-            out |= _cover(accept, s)
-    report = CompletionReport(
-        attack_found=gamma is not None,
-        gamma_used=None if gamma is None else float(gamma),
+    out, counts = _union_of_covers(mask, table, cutoffs)
+    found = any(counts.values())
+    return out, CompletionReport(
+        attack_found=found,
+        gamma_used=float(gamma) if found else None,
         iterations_run=step,
-        per_size_accepted=accepted,
-        skipped_sizes=skipped,
+        per_size_accepted={s: counts.get(s, 0) for s in sizes},
+        skipped_sizes=tuple(s for s in sizes if s > min(mask.shape)),
         output_popcount=int(np.count_nonzero(out)),
     )
-    return out, report
 
 
 def complete_fixed_gamma(observed, sizes, gamma):
     """Multi-size completion at a single fixed threshold, with a report.
 
-    The output is the union of :func:`complete_single_size` over the sizes.
-    The report has the fields of :func:`gamma_search`'s, with
+    The output is the union of :func:`complete_single_size` over the sizes:
+    each fitting size gets one distance pass, at the known cutoff.  The
+    report has the fields of :func:`gamma_search`'s, with
     ``iterations_run`` always 1 and ``gamma_used`` set only when some size
     accepts a window.
 
@@ -290,9 +291,9 @@ def complete_fixed_gamma(observed, sizes, gamma):
     -------
     (ndarray, CompletionReport)
     """
-    mask, sizes = as_mask(observed), normalize_sizes(sizes)
-    g = as_gamma(gamma)
-    return _complete(mask, sizes, lambda rho: (1, g if g >= rho else None))
+    mask, sizes, g = as_mask(observed), normalize_sizes(sizes), as_gamma(gamma)
+    cutoffs = {s: int(g * (s * s)) for s in sizes if s <= min(mask.shape)}
+    return _complete(mask, sizes, _summed_area(mask), cutoffs, 1, g)
 
 
 def gamma_search(observed, sizes, schedule=GammaSchedule()):
@@ -305,9 +306,23 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     is found in closed form; its cost is one exact gamma_t, whose digits
     grow as O(t * digits(beta)).
 
+    A window of size s is accepted at threshold gamma iff its distance is
+    at most floor(gamma * s**2); distances are integers, so that holds iff
+    gamma >= d / s**2.  The smallest ratio rho of a size's minimum window
+    distance to s**2 therefore decides the search, and no gamma below 1
+    reaches a ratio of 1 (a blank mask, or no size fits).  Only the sizes
+    accepted at the chosen threshold get a second distance pass and a cover.
+
     Returns
     -------
     (ndarray, CompletionReport)
     """
     mask, sizes = as_mask(observed), normalize_sizes(sizes)
-    return _complete(mask, sizes, schedule._first_step)
+    table = _summed_area(mask)
+    # One distance plane alive at a time: only its minimum is kept.
+    d_min = {s: int(_distances(table, s).min()) for s in sizes if s <= min(mask.shape)}
+    rho = min((Fraction(d, s * s) for s, d in d_min.items()), default=Fraction(1))
+    step, gamma = schedule._first_step(rho)
+    cutoffs = {} if gamma is None else {s: int(gamma * (s * s)) for s in d_min}
+    cutoffs = {s: c for s, c in cutoffs.items() if d_min[s] <= c}
+    return _complete(mask, sizes, table, cutoffs, step, gamma)

@@ -15,7 +15,6 @@ from maskcomplete.bench import (
 
 def test_report_structure():
     report = run_benchmark(canvases=(32, 48), sizes=(4, 8), repeats=1)
-    assert report["schema_version"] == 1
     assert report["config"]["gamma"] == BENCH_GAMMA
     assert set(report["dp_seconds"]) == {"32", "48"}
     assert set(report["dp_seconds"]["32"]) == {"4", "8"}

@@ -4,9 +4,11 @@ satisfy.  Bit-level expectations are checked against the brute-force oracle
 module; arithmetic expectations are worked out by hand in the asserts.
 """
 
+import ast
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from maskcomplete import (
     popcount,
     union,
 )
+from maskcomplete import completion
 from maskcomplete.completion import _cover, _distances, _summed_area
 
 
@@ -303,8 +306,8 @@ class TestCompleteMultiSize:
         assert np.array_equal(complete_fixed_gamma(mask, sizes, 0.3)[0], want)
 
     def test_search_peak_memory_is_bounded(self, rng):
-        # The int32 table, one int32 distance plane, its accept flags and
-        # the byte planes of the output and the cover: about 9.2 B/px.
+        # The int32 table, one int32 distance plane and its accept flags,
+        # beside the output once a size has covered: about 8.2 B/px.
         mask = planted_patch(rng, 512, 512, 50, flips=200)
         tracemalloc.start()
         try:
@@ -314,6 +317,20 @@ class TestCompleteMultiSize:
             tracemalloc.stop()
         assert report.attack_found and out.any()
         assert peak <= 12 * 512 * 512
+
+    def test_fixed_peak_memory_is_bounded(self, rng):
+        # The planes of the search's peak, reached here on the first size's
+        # pass: about 8.8 B/px.  A size's accept flags kept alive into the
+        # next size's distance pass read 9.6 B/px.
+        mask = planted_patch(rng, 512, 512, 50, flips=200)
+        tracemalloc.start()
+        try:
+            out, report = complete_fixed_gamma(mask, (25, 50, 75, 100), 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.attack_found and out.any()
+        assert peak <= 9 * 512 * 512
 
     def test_empty_size_set_gives_empty_mask(self, rng):
         mask = random_mask(rng, 8, 8)
@@ -639,3 +656,81 @@ class TestReportInvariants:
             assert report.attack_found == (report.output_popcount > 0)
             assert report.output_popcount == popcount(out)
             assert (report.gamma_used is not None) == report.attack_found
+
+
+class TestPassCounts:
+    """One summed-area table per call, and one distance pass per size and use."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Tables built and the size of each distance pass, in call order."""
+        seen = {"tables": 0, "sizes": []}
+        table, distances = completion._summed_area, completion._distances
+
+        def counted_table(flags):
+            seen["tables"] += 1
+            return table(flags)
+
+        def counted_distances(t, s):
+            seen["sizes"].append(s)
+            return distances(t, s)
+
+        monkeypatch.setattr(completion, "_summed_area", counted_table)
+        monkeypatch.setattr(completion, "_distances", counted_distances)
+        return seen
+
+    def test_single_size_makes_one_pass(self, passes):
+        mask = np.zeros((40, 40), dtype=np.uint8)
+        mask[5:17, 9:21] = 1
+        assert complete_single_size(mask, 12, 0.3).any()
+        assert passes == {"tables": 1, "sizes": [12]}
+
+    def test_fixed_gamma_makes_one_pass_per_fitting_size(self, passes):
+        mask = np.zeros((40, 40), dtype=np.uint8)
+        mask[5:17, 9:21] = 1
+        _, report = complete_fixed_gamma(mask, (4, 12, 16, 50), 0.3)
+        assert report.per_size_accepted == {4: 0, 12: 5, 16: 0, 50: 0}
+        assert passes == {"tables": 1, "sizes": [4, 12, 16]}
+
+    def test_search_repeats_only_the_sizes_accepted_at_the_stop(self, passes):
+        mask = np.zeros((40, 40), dtype=np.uint8)
+        mask[5:17, 9:21] = 1
+        mask[30, 30] = 1
+        _, report = gamma_search(mask, (12, 16, 20, 50))
+        assert report.iterations_run == 1
+        assert report.per_size_accepted == {12: 1, 16: 0, 20: 0, 50: 0}
+        assert passes == {"tables": 1, "sizes": [12, 16, 20, 12]}
+
+    def test_search_on_a_blank_mask_makes_only_the_minimum_passes(self, passes):
+        _, report = gamma_search(np.zeros((40, 40), dtype=np.uint8), (12, 16, 50))
+        assert not report.attack_found
+        assert passes == {"tables": 1, "sizes": [12, 16]}
+
+    def test_cover_is_built_at_one_call_site(self):
+        sites = []
+        for path in sorted(Path(completion.__file__).parent.glob("*.py")):
+            finder = _CallSites(path.stem, "_cover")
+            finder.visit(ast.parse(path.read_text()))
+            sites += finder.sites
+        assert sites == ["completion._union_of_covers"]
+
+
+class _CallSites(ast.NodeVisitor):
+    """Functions of one module that call ``name``, once per call."""
+
+    def __init__(self, module, name):
+        self.scope, self.sites, self.name = [module], [], name
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if called == self.name:
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
