@@ -5,6 +5,12 @@ patch pixel, which PBM renders as black.  P4 rasters pack each row into
 ceil(W / 8) bytes, most significant bit first, exactly as ``np.packbits``
 does.  Writes go through a temp-file-then-rename so readers never observe
 a half-written file.
+
+One regular expression tokenizes the header.  Each raster is decoded by
+operations on the whole byte string: a P1 raster loses its comments and
+whitespace, must then hold only ``0`` and ``1`` (the first other byte is
+reported), and each digit's low bit is its pixel; a P4 raster is unpacked
+to exactly W columns.  Both return a C-contiguous uint8 array.
 """
 
 import os
@@ -25,9 +31,6 @@ __all__ = [
 ]
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
-# Bytes a P1 raster may hold once its comments are stripped.
-_P1_BYTES = np.zeros(256, dtype=bool)
-_P1_BYTES[list(b"01" + _WHITESPACE)] = True
 
 
 class PBMFormatError(ValueError):
@@ -81,18 +84,16 @@ def decode_pbm(data: bytes) -> np.ndarray:
         raise PBMFormatError(f"bad dimensions {width}x{height}")
 
     if magic == b"P1":
-        raster = re.sub(rb"#[^\n]*", b"", data[pos:])
-        codes = np.frombuffer(raster, dtype=np.uint8)
-        bad = np.flatnonzero(~_P1_BYTES[codes])
-        if bad.size:
-            ch = raster[bad[0] : bad[0] + 1]
-            raise PBMFormatError(f"unexpected byte {ch!r} in P1 raster")
-        digits = codes[(codes == ord("0")) | (codes == ord("1"))]
-        if digits.size != width * height:
+        digits = re.sub(rb"#[^\n]*", b"", data[pos:]).translate(None, _WHITESPACE)
+        junk = digits.translate(None, b"01")
+        if junk:
+            raise PBMFormatError(f"unexpected byte {junk[:1]!r} in P1 raster")
+        if len(digits) != width * height:
             raise PBMFormatError(
-                f"P1 raster holds {digits.size} bits, expected {width * height}"
+                f"P1 raster holds {len(digits)} bits, expected {width * height}"
             )
-        return (digits == ord("1")).view(np.uint8).reshape(height, width)
+        # b"0" is 0x30 and b"1" is 0x31: a digit's low bit is its pixel.
+        return (np.frombuffer(digits, np.uint8) & 1).reshape(height, width)
 
     # P4: a single whitespace byte separates the header from the raster.
     sep = data[pos : pos + 1]
@@ -106,7 +107,7 @@ def decode_pbm(data: bytes) -> np.ndarray:
             f"P4 raster holds {len(raster)} bytes, expected {expected}"
         )
     packed = np.frombuffer(raster, dtype=np.uint8).reshape(height, row_bytes)
-    return np.unpackbits(packed, axis=1)[:, :width]
+    return np.unpackbits(packed, axis=1, count=width)
 
 
 def atomic_write_bytes(path, data: bytes):

@@ -23,6 +23,25 @@ def planted_patch(rng, height, width, size, flips=0):
     return mask
 
 
+def edit_bytes(data, edits):
+    """``data`` with each (op, position, byte) edit applied in turn.
+
+    op is "flip" (XOR with ``byte``, or 1 when ``byte`` is 0), "insert" or
+    "delete"; the position wraps into range, and an empty string can only
+    grow.
+    """
+    data = bytearray(data)
+    for op, pos, byte in edits:
+        pos %= len(data) + 1
+        if op == "flip" and pos < len(data):
+            data[pos] ^= byte or 1
+        elif op == "insert" or not data:
+            data[pos:pos] = bytes([byte])
+        else:
+            del data[min(pos, len(data) - 1)]
+    return bytes(data)
+
+
 def component_count(mask):
     """Number of 4-connected components of 1-pixels."""
     mask = np.asarray(mask)

@@ -1,7 +1,9 @@
 """PBM codec: golden bytes for both formats, round trips (including the
 byte-padding edge cases), permissive header parsing, and strict error
-handling on malformed input.
+handling on malformed input, arbitrary bytes included.
 """
+
+import operator
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_mask
+from conftest import edit_bytes, random_mask
 from maskcomplete import PBMFormatError, decode_pbm, encode_pbm, read_pbm, write_pbm
+from maskcomplete.cli import main
 
 PATTERN_3X5 = np.array(
     [
@@ -113,6 +116,66 @@ class TestMalformedInput:
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_pbm(tmp_path / "nope.pbm")
+
+
+_ENCODED = st.builds(
+    encode_pbm,
+    arrays(
+        np.uint8,
+        st.tuples(st.integers(1, 12), st.integers(1, 20)),
+        elements=st.integers(0, 1),
+    ),
+    st.sampled_from(["P1", "P4"]),
+)
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "insert", "delete"]),
+        st.integers(0, 10**4),
+        st.integers(0, 255),
+    ),
+    min_size=1,
+    max_size=4,
+)
+# Arbitrary bytes, a PBM header followed by arbitrary bytes, valid encodings,
+# and valid encodings with bytes flipped, inserted or deleted.
+ANY_BYTES = st.one_of(
+    st.binary(max_size=64),
+    st.builds(
+        operator.add,
+        st.sampled_from([b"P1\n", b"P4\n", b"P1 3 2\n", b"P4 9 2\n", b"P4\n3 1\n"]),
+        st.binary(max_size=32),
+    ),
+    _ENCODED,
+    st.builds(edit_bytes, _ENCODED, _EDITS),
+)
+
+
+@pytest.fixture(scope="module")
+def bytes_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("bytes")
+
+
+class TestArbitraryBytes:
+    """Any byte string decodes to a mask or raises PBMFormatError, never more."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=ANY_BYTES)
+    def test_mask_or_format_error(self, data):
+        try:
+            mask = decode_pbm(data)
+        except PBMFormatError:
+            return
+        assert mask.dtype == np.uint8 and mask.ndim == 2
+        assert mask.flags.c_contiguous
+        assert np.all(mask <= 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=ANY_BYTES)
+    def test_complete_exits_0_or_3(self, bytes_dir, data):
+        path = bytes_dir / "in.pbm"
+        path.write_bytes(data)
+        argv = ["complete", str(path), "-o", str(bytes_dir / "out.pbm"), "--sizes", "2,3"]
+        assert main(argv) in (0, 3)
 
 
 class TestAtomicWrite:
