@@ -7,18 +7,23 @@ patch within that Hamming budget of the observation is therefore covered
 entirely by the output, and the output contains nothing outside the union
 of qualifying windows.
 
-The implementation runs in time linear in the image area: one int32
-summed-area table turns every window distance into a four-corner lookup,
-and "is this pixel inside some accepted window" is a dilation of the
-accepted window corners by an s-by-s box, about 2 * log2(s) shifted ORs
-over a plane of bytes.
+The implementation runs in time linear in the image area: one summed-area
+table turns the ones inside every window into a four-corner lookup, and a
+window holding ``ones`` set pixels lies at distance s**2 + total - 2 * ones
+from a mask with ``total`` set pixels.  The table is kept modulo 2**bits
+in the smallest unsigned dtype that holds the largest fitting s**2 (uint16
+for sides 16 to 255), so every window count comes back exact in half the
+bytes of int32.  "Is this pixel inside some accepted window" is a
+dilation of the accepted window corners by an s-by-s box, about
+2 * log2(s) shifted ORs over a plane of bytes.
 
-At a known threshold each fitting size costs one distance plane: its
-accept flags, their count and its cover are built from it in one place,
-shared by all three entry points, and the first nonempty cover is the
-output the later ones are ORed into.  The distance from the observation to
-each window does not depend on gamma, so a search over several thresholds
-first needs only each size's minimum distance d: the first threshold at or
+At a known threshold each fitting size costs one ones plane: its accept
+flags (ones at or above the count the cutoff needs), their count and its
+cover are built from it in one place, shared by all three entry points,
+and the first nonempty cover is the output the later ones are ORed into.
+The distance from the observation to each window does not depend on
+gamma, so a search over several thresholds first needs only each size's
+minimum distance d, from its largest ones count: the first threshold at or
 above the smallest d / s**2 is the first with a nonempty completion, and
 the sizes it accepts get their second plane and their cover there.  The
 geometric schedule is inverted for that ratio in closed form, so finding
@@ -132,15 +137,13 @@ class CompletionReport:
     output_popcount: int = 0
 
 
-def _table_dtype(h, w):
-    """int32 while a window distance's terms, up to 2·h·w, fit in it; else int64."""
-    return np.int32 if 2 * h * w < 2**31 else np.int64
+def _summed_area(flags, largest) -> np.ndarray:
+    """(H+1)×(W+1) summed-area table of ``flags`` at the top-left, wrapped.
 
-
-def _summed_area(flags) -> np.ndarray:
-    """(H+1)×(W+1) summed-area table of ``flags`` at the top-left.
-
-    Entry (i, j) counts the ones in ``flags[:i, :j]``.  Row 0 and column 0
+    Entry (i, j) counts the ones in ``flags[:i, :j]`` modulo 2^bits, in the
+    smallest unsigned dtype that holds ``largest``².  A window of side s <=
+    ``largest`` holds at most s² ones, so its four-corner difference, taken
+    in the same dtype, wraps back to the exact count.  Row 0 and column 0
     are zero, so any box sum is four lookups with no bounds special cases.
     The running sums are taken in place, rows first, so the table is the
     only plane allocated.  The column pass adds each row into the next, and
@@ -149,8 +152,8 @@ def _summed_area(flags) -> np.ndarray:
     rows padded to an odd number of 64-byte cache lines.
     """
     h, w = flags.shape
-    dtype = _table_dtype(h, w)
-    per_line = 64 // np.dtype(dtype).itemsize
+    dtype = np.min_scalar_type(largest * largest)
+    per_line = 64 // dtype.itemsize
     lines = (w + per_line) // per_line | 1
     table = np.zeros((h + 1, lines * per_line), dtype=dtype)[:, : w + 1]
     table[1:, 1:] = flags
@@ -159,20 +162,28 @@ def _summed_area(flags) -> np.ndarray:
     return table
 
 
-def _distances(table, s) -> np.ndarray:
-    """Hamming distance from the mask to every filled s×s window.
+def _ones(table, s) -> np.ndarray:
+    """Ones inside every s×s window, in the table's dtype.
 
-    ``table`` is the mask's :func:`_summed_area`; entry (i, j) of the
-    result belongs to the window with top-left corner (i, j), which must
-    fit: s <= H and s <= W.  With four-corner sums of the ones inside,
-    d = s^2 + total - 2 * ones_inside, computed in the table's dtype.
+    ``table`` is the mask's :func:`_summed_area` for some largest size >= s;
+    entry (i, j) of the result belongs to the window with top-left corner
+    (i, j), which must fit: s <= H and s <= W.  The window's Hamming
+    distance to the mask is s² + total - 2 * ones, so more ones is closer.
     """
-    d = table[s:, s:] - table[:-s, s:]
-    d -= table[s:, :-s]
-    d += table[:-s, :-s]
-    d *= -2
-    d += s * s + int(table[-1, -1])
-    return d
+    ones = table[s:, s:] - table[:-s, s:]
+    ones -= table[s:, :-s]
+    ones += table[:-s, :-s]
+    return ones
+
+
+def _need(s, total, cutoff) -> int:
+    """Fewest ones an s×s window needs to lie within ``cutoff`` of the mask.
+
+    With ``total`` ones in the mask, s² + total - 2 * ones <= cutoff iff
+    ones >= ceil((s² + total - cutoff) / 2).  The bound is clamped to
+    [0, s² + 1], which the table's dtype holds, so it compares in that dtype.
+    """
+    return min(max(0, (s * s + total - cutoff + 1) // 2), s * s + 1)
 
 
 def _running_or(flat, s, step):
@@ -195,7 +206,7 @@ def _cover(accept, s) -> np.ndarray:
     """H×W uint8 mask of the pixels inside at least one accepted s×s window.
 
     ``accept`` holds one flag per window top-left corner, as laid out by
-    :func:`_distances`.  Pixel (i, j) lies in the windows whose corners are
+    :func:`_ones`.  Pixel (i, j) lies in the windows whose corners are
     in rows [i-s+1, i] and cols [j-s+1, j], so with the flags moved s - 1
     rows down and s - 1 cols right, the cover at (i, j) is the OR of the
     s×s block that starts there: a running OR along each row, then down
@@ -217,15 +228,16 @@ def _union_of_covers(mask, table, cutoffs):
     """Union of the covers at ``cutoffs``, and each size's accepted-window count.
 
     ``cutoffs`` maps sizes that fit the mask to their distance cutoffs.  A
-    size gets one distance plane, its accept flags, their count and, when
-    any flag is set, its cover; none of them outlives the size, so the next
+    size gets one ones plane, its accept flags, their count and, when any
+    flag is set, its cover; none of them outlives the size, so the next
     plane is built beside only the table and the output.  The first
     nonempty cover becomes the output and each later one is ORed into it;
     a zero plane is made only when every cover is empty.
     """
     out, accepted = None, {}
+    total = int(np.count_nonzero(mask))
     for s, cutoff in cutoffs.items():
-        accept = _distances(table, s) <= cutoff
+        accept = _ones(table, s) >= _need(s, total, cutoff)
         accepted[s] = int(np.count_nonzero(accept))
         if accepted[s]:
             cover = _cover(accept, s)
@@ -256,13 +268,13 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
     mask, s, g = as_mask(observed), as_int(size, "patch size", 1), as_gamma(gamma)
     if s > min(mask.shape):
         return np.zeros(mask.shape, dtype=np.uint8)
-    return _union_of_covers(mask, _summed_area(mask), {s: int(g * (s * s))})[0]
+    return _union_of_covers(mask, _summed_area(mask, s), {s: int(g * (s * s))})[0]
 
 
 def _complete(mask, sizes, table, cutoffs, step, gamma):
     """Completion over ``cutoffs``, reported as step ``step`` at ``gamma``.
 
-    ``cutoffs`` holds the fitting sizes worth a distance pass, each with its
+    ``cutoffs`` holds the fitting sizes worth a ones pass, each with its
     cutoff floor(gamma * s**2); every other size of ``sizes`` accepts no
     window.  ``gamma`` is reported as used when some size accepts one.
     """
@@ -282,7 +294,7 @@ def complete_fixed_gamma(observed, sizes, gamma):
     """Multi-size completion at a single fixed threshold, with a report.
 
     The output is the union of :func:`complete_single_size` over the sizes:
-    each fitting size gets one distance pass, at the known cutoff.  The
+    each fitting size gets one ones pass, at the known cutoff.  The
     report has the fields of :func:`gamma_search`'s, with
     ``iterations_run`` always 1 and ``gamma_used`` set only when some size
     accepts a window.
@@ -293,7 +305,8 @@ def complete_fixed_gamma(observed, sizes, gamma):
     """
     mask, sizes, g = as_mask(observed), normalize_sizes(sizes), as_gamma(gamma)
     cutoffs = {s: int(g * (s * s)) for s in sizes if s <= min(mask.shape)}
-    return _complete(mask, sizes, _summed_area(mask), cutoffs, 1, g)
+    table = _summed_area(mask, max(cutoffs, default=0))
+    return _complete(mask, sizes, table, cutoffs, 1, g)
 
 
 def gamma_search(observed, sizes, schedule=GammaSchedule()):
@@ -311,16 +324,18 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     gamma >= d / s**2.  The smallest ratio rho of a size's minimum window
     distance to s**2 therefore decides the search, and no gamma below 1
     reaches a ratio of 1 (a blank mask, or no size fits).  Only the sizes
-    accepted at the chosen threshold get a second distance pass and a cover.
+    accepted at the chosen threshold get a second ones pass and a cover.
 
     Returns
     -------
     (ndarray, CompletionReport)
     """
     mask, sizes = as_mask(observed), normalize_sizes(sizes)
-    table = _summed_area(mask)
-    # One distance plane alive at a time: only its minimum is kept.
-    d_min = {s: int(_distances(table, s).min()) for s in sizes if s <= min(mask.shape)}
+    fitting = [s for s in sizes if s <= min(mask.shape)]
+    table = _summed_area(mask, max(fitting, default=0))
+    total = int(np.count_nonzero(mask))
+    # One ones plane alive at a time: only its maximum is kept.
+    d_min = {s: s * s + total - 2 * int(_ones(table, s).max()) for s in fitting}
     rho = min((Fraction(d, s * s) for s, d in d_min.items()), default=Fraction(1))
     step, gamma = schedule._first_step(rho)
     cutoffs = {} if gamma is None else {s: int(gamma * (s * s)) for s in d_min}

@@ -54,7 +54,10 @@ def as_mask(a) -> np.ndarray:
         return arr.astype(np.uint8)
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"mask dtype must be integer or bool, got {arr.dtype}")
-    if not np.all((arr == 0) | (arr == 1)):
+    # Two reductions, not a boolean plane per comparison; an unsigned
+    # dtype needs only the maximum.
+    signed = np.issubdtype(arr.dtype, np.signedinteger)
+    if arr.max() > 1 or (signed and arr.min() < 0):
         raise ValueError("mask values must be exactly 0 or 1")
     return arr.astype(np.uint8, copy=False)
 

@@ -84,7 +84,12 @@ def decode_pbm(data: bytes) -> np.ndarray:
         raise PBMFormatError(f"bad dimensions {width}x{height}")
 
     if magic == b"P1":
-        digits = re.sub(rb"#[^\n]*", b"", data[pos:]).translate(None, _WHITESPACE)
+        # One name for every stage, so each copy is freed once the next is
+        # made; the comment pass runs only when the raster holds a comment.
+        digits = data[pos:]
+        if b"#" in digits:
+            digits = re.sub(rb"#[^\n]*", b"", digits)
+        digits = digits.translate(None, _WHITESPACE)
         junk = digits.translate(None, b"01")
         if junk:
             raise PBMFormatError(f"unexpected byte {junk[:1]!r} in P1 raster")
@@ -95,9 +100,9 @@ def decode_pbm(data: bytes) -> np.ndarray:
         # b"0" is 0x30 and b"1" is 0x31: a digit's low bit is its pixel.
         return (np.frombuffer(digits, np.uint8) & 1).reshape(height, width)
 
-    # P4: a single whitespace byte separates the header from the raster.
-    sep = data[pos : pos + 1]
-    if sep not in (b" ", b"\t", b"\n", b"\r"):
+    # P4: a single whitespace byte, any the tokenizer skips, separates the
+    # header from the raster.
+    if pos == len(data) or data[pos] not in _WHITESPACE:
         raise PBMFormatError("P4 header must end with one whitespace byte")
     raster = data[pos + 1 :]
     row_bytes = (width + 7) // 8

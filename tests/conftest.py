@@ -5,6 +5,8 @@ from collections import deque
 import numpy as np
 import pytest
 
+from maskcomplete.completion import _ones, _summed_area
+
 
 def random_mask(rng, height, width, density=0.5):
     """Random binary mask with roughly the given fill density."""
@@ -21,6 +23,15 @@ def planted_patch(rng, height, width, size, flips=0):
         idx = rng.choice(height * width, size=flips, replace=False)
         mask.flat[idx] ^= 1
     return mask
+
+
+def window_distances(mask, s):
+    """Hamming distance to every s×s window, s² + total - 2·ones, in int64.
+
+    The ones come from the engine's own table and ones plane.
+    """
+    ones = _ones(_summed_area(mask, s), s).astype(np.int64)
+    return s * s + int(np.count_nonzero(mask)) - 2 * ones
 
 
 def edit_bytes(data, edits):

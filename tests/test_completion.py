@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import planted_patch, random_mask
+from conftest import planted_patch, random_mask, window_distances
 from maskcomplete import (
     CompletionReport,
     GammaSchedule,
@@ -33,7 +33,7 @@ from maskcomplete import (
     union,
 )
 from maskcomplete import completion
-from maskcomplete.completion import _cover, _distances, _summed_area
+from maskcomplete.completion import _cover, _ones, _summed_area
 
 
 class TestDistanceCutoff:
@@ -217,23 +217,36 @@ class TestCompleteSingleSize:
 
 
 class TestCandidateField:
-    """The per-size kernels: the window distance plane and its cover."""
+    """The per-size kernels: the window ones plane and its cover."""
 
     def test_accept_matches_per_candidate_distances(self, rng):
-        # The plane's minimum and its first row-major argmin are the
-        # oracle's, and some window is accepted iff the minimum is within
-        # the cutoff.
+        # The distance minimum is the oracle's, the first row-major argmax
+        # of the ones is its argmin, and some window is accepted iff the
+        # minimum is within the cutoff.
         for _ in range(60):
             H, W = (int(v) for v in rng.integers(3, 15, 2))
             mask = random_mask(rng, H, W, density=float(rng.random()))
             size = int(rng.integers(1, min(H, W) + 1))
-            dist = _distances(_summed_area(mask), size)
+            ones = _ones(_summed_area(mask, size), size)
             best, cand = oracle_min_distance(mask, size)
-            assert dist.min() == best
-            assert np.unravel_index(dist.argmin(), dist.shape) == (cand.row, cand.col)
+            assert window_distances(mask, size).min() == best
+            assert np.unravel_index(ones.argmax(), ones.shape) == (cand.row, cand.col)
             gamma = float(rng.random())
             _, report = complete_fixed_gamma(mask, [size], gamma)
             assert report.attack_found == (best <= distance_cutoff(gamma, size))
+
+    def test_need_accepts_exactly_the_windows_within_the_cutoff(self, rng):
+        # Every cutoff from 0 to past the largest distance, including those
+        # whose bound clamps to 0 or to s² + 1.
+        for _ in range(40):
+            H, W = (int(v) for v in rng.integers(1, 12, 2))
+            mask = random_mask(rng, H, W, density=float(rng.random()))
+            s = int(rng.integers(1, min(H, W) + 1))
+            ones, dist = _ones(_summed_area(mask, s), s), window_distances(mask, s)
+            for cutoff in range(s * s + popcount(mask) + 2):
+                need = completion._need(s, popcount(mask), cutoff)
+                assert 0 <= need <= s * s + 1
+                assert np.array_equal(ones >= need, dist <= cutoff)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -260,7 +273,7 @@ class TestCandidateField:
 
     def test_output_is_exactly_cover_count_support(self, rng):
         mask = planted_patch(rng, 16, 16, 5, flips=6)
-        accept = _distances(_summed_area(mask), 5) <= distance_cutoff(0.5, 5)
+        accept = window_distances(mask, 5) <= distance_cutoff(0.5, 5)
         out = complete_single_size(mask, 5, 0.5)
         assert out.dtype == np.uint8
         assert np.array_equal(out, _cover(accept, 5))
@@ -306,8 +319,8 @@ class TestCompleteMultiSize:
         assert np.array_equal(complete_fixed_gamma(mask, sizes, 0.3)[0], want)
 
     def test_search_peak_memory_is_bounded(self, rng):
-        # The int32 table, one int32 distance plane and its accept flags,
-        # beside the output once a size has covered: about 8.2 B/px.
+        # The uint16 table, one uint16 ones plane and its accept flags,
+        # beside the output once a size has covered: about 4.8 B/px.
         mask = planted_patch(rng, 512, 512, 50, flips=200)
         tracemalloc.start()
         try:
@@ -316,12 +329,12 @@ class TestCompleteMultiSize:
         finally:
             tracemalloc.stop()
         assert report.attack_found and out.any()
-        assert peak <= 12 * 512 * 512
+        assert peak <= 5.5 * 512 * 512
 
     def test_fixed_peak_memory_is_bounded(self, rng):
         # The planes of the search's peak, reached here on the first size's
-        # pass: about 8.8 B/px.  A size's accept flags kept alive into the
-        # next size's distance pass read 9.6 B/px.
+        # pass: about 5.6 B/px.  A size's accept flags kept alive into the
+        # next size's ones pass read about 6.3 B/px.
         mask = planted_patch(rng, 512, 512, 50, flips=200)
         tracemalloc.start()
         try:
@@ -330,7 +343,7 @@ class TestCompleteMultiSize:
         finally:
             tracemalloc.stop()
         assert report.attack_found and out.any()
-        assert peak <= 9 * 512 * 512
+        assert peak <= 6 * 512 * 512
 
     def test_empty_size_set_gives_empty_mask(self, rng):
         mask = random_mask(rng, 8, 8)
@@ -659,24 +672,24 @@ class TestReportInvariants:
 
 
 class TestPassCounts:
-    """One summed-area table per call, and one distance pass per size and use."""
+    """One summed-area table per call, and one ones pass per size and use."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        """Tables built and the size of each distance pass, in call order."""
+        """Tables built and the size of each ones pass, in call order."""
         seen = {"tables": 0, "sizes": []}
-        table, distances = completion._summed_area, completion._distances
+        table, ones = completion._summed_area, completion._ones
 
-        def counted_table(flags):
+        def counted_table(flags, largest):
             seen["tables"] += 1
-            return table(flags)
+            return table(flags, largest)
 
-        def counted_distances(t, s):
+        def counted_ones(t, s):
             seen["sizes"].append(s)
-            return distances(t, s)
+            return ones(t, s)
 
         monkeypatch.setattr(completion, "_summed_area", counted_table)
-        monkeypatch.setattr(completion, "_distances", counted_distances)
+        monkeypatch.setattr(completion, "_ones", counted_ones)
         return seen
 
     def test_single_size_makes_one_pass(self, passes):

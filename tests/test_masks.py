@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import random_mask
+from conftest import random_mask, window_distances
 import maskcomplete
 from maskcomplete import (
     CorruptionModel,
@@ -39,8 +39,7 @@ from maskcomplete import (
     run_benchmark,
     union,
 )
-from maskcomplete import completion
-from maskcomplete.completion import _distances, _summed_area, _table_dtype
+from maskcomplete.completion import _ones, _summed_area
 
 small_masks = arrays(
     np.uint8,
@@ -67,16 +66,26 @@ class TestAsMask:
             np.array([[0, 2]]),
             np.array([[0.5, 0.5]]),
             np.array([[-1, 1]]),
+            np.array([[1, 255]], dtype=np.uint8),
+            np.array([[0, -128]], dtype=np.int8),
+            np.array([[2**63, 0]], dtype=np.uint64),
         ],
     )
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             as_mask(bad)
 
+    @pytest.mark.parametrize(
+        "dtype", [np.uint8, np.int8, np.uint16, np.int32, np.uint64, np.int64]
+    )
+    def test_accepts_zeros_and_ones_of_every_integer_dtype(self, dtype):
+        out = as_mask(np.array([[0, 1], [1, 1]], dtype=dtype))
+        assert out.dtype == np.uint8 and out.tolist() == [[0, 1], [1, 1]]
+
 
 def table_of(mask):
-    """The engine's summed-area table of a whole mask."""
-    return _summed_area(mask)
+    """The engine's summed-area table of a whole mask, for every size that fits."""
+    return _summed_area(mask, min(mask.shape))
 
 
 _MASK = np.eye(8, dtype=np.uint8)
@@ -405,55 +414,77 @@ class TestIntegralImage:
     @settings(max_examples=50)
     @given(mask=small_masks)
     def test_monotone_rows_and_cols(self, mask):
-        table = table_of(mask)
+        # At most 144 ones: no entry wraps, so the sums rise in both axes.
+        table = table_of(mask).astype(np.int64)
         assert (np.diff(table, axis=0) >= 0).all()
         assert (np.diff(table, axis=1) >= 0).all()
 
     def test_peak_memory_is_the_table_alone(self):
-        # An int32 table; its rows are padded by less than two 64-byte
-        # cache lines each.
+        # A 2-byte table for sizes up to 255; its rows are padded by less
+        # than two 64-byte cache lines each.
         mask = np.ones((512, 512), dtype=np.uint8)
         tracemalloc.start()
         try:
-            table = _summed_area(mask)
+            table = _summed_area(mask, 255)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.dtype == np.int32
-        assert table[-1, -1] == 512 * 512
-        assert peak <= 4 * 513 * 513 + 128 * 513 + 4 * 1024
+        assert table.dtype == np.uint16
+        assert table[-1, -1] == 512 * 512 % 2**16
+        assert peak <= 2 * 513 * 513 + 128 * 513 + 4 * 1024
 
     @pytest.mark.parametrize(
-        "h,w,dtype",
+        "largest,dtype",
         [
-            (1, 1, np.int32),
-            (2**15, 2**15 - 1, np.int32),
-            (1, 2**30 - 1, np.int32),
-            (2**15, 2**15, np.int64),
-            (1, 2**30, np.int64),
-            (2**30 - 1, 1, np.int32),
-            (2**30, 1, np.int64),
+            (0, np.uint8),
+            (1, np.uint8),
+            (15, np.uint8),
+            (16, np.uint16),
+            (255, np.uint16),
+            (256, np.uint32),
+            (65535, np.uint32),
+            (65536, np.uint64),
         ],
     )
-    def test_int32_while_twice_the_area_fits(self, h, w, dtype):
-        # A distance is s^2 + ones - 2 * ones_inside, and s^2 + ones can
-        # reach 2*h*w: int32 while that stays below 2^31.
-        assert _table_dtype(h, w) is dtype
+    def test_smallest_unsigned_dtype_that_holds_the_largest_window(self, largest, dtype):
+        # A window of side s holds at most s² ones: 15² = 225 fits a byte,
+        # 16² = 256 does not; 255² = 65025 fits two bytes, 256² does not.
+        assert _summed_area(np.eye(2, dtype=np.uint8), largest).dtype == dtype
 
-    def test_int64_fallback_gives_the_same_table_and_distances(self, rng, monkeypatch):
-        mask = random_mask(rng, 23, 17, density=0.4)
-        narrow = table_of(mask)
-        monkeypatch.setattr(completion, "_table_dtype", lambda h, w: np.int64)
-        wide = table_of(mask)
-        assert (narrow.dtype, wide.dtype) == (np.int32, np.int64)
-        assert np.array_equal(narrow, wide)
-        for size in (1, 4, 17):
-            assert np.array_equal(_distances(narrow, size), _distances(wide, size))
+    @pytest.mark.parametrize(
+        "side,largest,dtype", [(300, 255, np.uint16), (40, 15, np.uint8)]
+    )
+    def test_window_sums_are_exact_when_the_table_wraps(self, side, largest, dtype):
+        # The corner of an all-ones table, side², wraps past the dtype's
+        # range, yet every window up to the largest holds exactly s² ones.
+        table = _summed_area(np.ones((side, side), dtype=np.uint8), largest)
+        assert table.dtype == dtype
+        assert table[-1, -1] == side * side % 2 ** (8 * table.itemsize)
+        for s in sorted({1, 2, largest // 2, largest - 1, largest}):
+            ones = _ones(table, s)
+            assert ones.dtype == dtype and ones.shape == (side - s + 1,) * 2
+            assert (ones == s * s).all()
+
+    @pytest.mark.parametrize("largest", [15, 16, 255])
+    def test_wrapped_window_sums_equal_an_int64_reference(self, rng, largest):
+        mask = random_mask(rng, 300, 280, density=0.8)
+        wide = np.zeros((301, 281), dtype=np.int64)
+        wide[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
+        table = _summed_area(mask, largest)
+        for s in (1, 7, largest):
+            want = wide[s:, s:] - wide[:-s, s:] - wide[s:, :-s] + wide[:-s, :-s]
+            assert np.array_equal(_ones(table, s), want)
 
 
 def window_sum(table, s, i, j):
-    """Ones inside the s×s window at (i, j), by a four-corner lookup."""
-    return int(table[i + s, j + s] - table[i, j + s] - table[i + s, j] + table[i, j])
+    """Ones inside the s×s window at (i, j), by a four-corner lookup.
+
+    The table wraps modulo 2^bits, so the difference is taken modulo the
+    same; the window's count lies below it.
+    """
+    corners = table[i + s, j + s], table[i, j + s], table[i + s, j], table[i, j]
+    a, b, c, d = (int(v) for v in corners)
+    return (a - b - c + d) % 2 ** (8 * table.itemsize)
 
 
 class TestWindowSum:
@@ -478,12 +509,12 @@ class TestWindowSum:
 
 
 class TestHammingToCandidate:
-    """The engine's distance plane: one entry per window top-left corner."""
+    """Distances from the engine's ones plane: one per window top-left corner."""
 
     def test_identical_patch_is_zero(self):
         mask = np.zeros((9, 9), dtype=np.uint8)
         mask[2:6, 3:7] = 1
-        dist = _distances(table_of(mask), 4)
+        dist = window_distances(mask, 4)
         assert dist.shape == (6, 6)
         assert dist[2, 3] == 0
         assert np.count_nonzero(dist == 0) == 1
@@ -491,14 +522,13 @@ class TestHammingToCandidate:
     @pytest.mark.parametrize("size", [1, 2, 5])
     def test_empty_mask_is_s_squared(self, size):
         mask = np.zeros((6, 6), dtype=np.uint8)
-        dist = _distances(table_of(mask), size)
+        dist = window_distances(mask, size)
         assert (dist == size * size).all()
 
     def test_matches_xor_popcount(self, rng):
         mask = random_mask(rng, 12, 12)
-        table = table_of(mask)
         for size in range(1, 13):
-            dist = _distances(table, size)
+            dist = window_distances(mask, size)
             assert dist.shape == (13 - size, 13 - size)
             for row in range(13 - size):
                 for col in range(13 - size):

@@ -4,6 +4,7 @@ handling on malformed input, arbitrary bytes included.
 """
 
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,21 @@ class TestRoundTrip:
         write_pbm(mask, path, fmt="P4")
         assert np.array_equal(read_pbm(path), mask)
 
+    def test_p1_peak_is_two_planes(self, rng):
+        # The raster slice beside its digits, then the digits beside the
+        # mask: never three planes at once.  A raster with no "#" is not
+        # copied by the comment pass.
+        mask = random_mask(rng, 512, 512)
+        data = encode_pbm(mask, "P1")
+        tracemalloc.start()
+        try:
+            out = decode_pbm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, mask)
+        assert peak <= 2.1 * 512 * 512
+
 
 class TestLenientParsing:
     def test_p1_with_comments_and_odd_whitespace(self):
@@ -87,6 +103,13 @@ class TestLenientParsing:
         raster = bytes([0b10101000, 0b01010000, 0b11111000])
         data = b"P4\n# generated for a test\n5 3\n" + raster
         assert np.array_equal(decode_pbm(data), PATTERN_3X5)
+
+    @pytest.mark.parametrize("sep", [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c"])
+    def test_p4_header_ends_with_any_header_whitespace(self, sep):
+        # The same six bytes the header tokenizer skips.
+        raster = bytes([0b10101000, 0b01010000, 0b11111000])
+        assert np.array_equal(decode_pbm(b"P4\n5 3" + sep + raster), PATTERN_3X5)
+        assert decode_pbm(b"P4\n1 1" + sep + b"\x80").tolist() == [[1]]
 
 
 class TestMalformedInput:
@@ -108,6 +131,13 @@ class TestMalformedInput:
     )
     def test_raises_format_error(self, data):
         with pytest.raises(PBMFormatError):
+            decode_pbm(data)
+
+    @pytest.mark.parametrize("data", [b"P4\n1 1", b"P4 1 1#\n\x80"])
+    def test_p4_header_must_end_with_one_whitespace_byte(self, data):
+        # End of data, and a comment straight after the height: any other
+        # byte there would extend the height token.
+        with pytest.raises(PBMFormatError, match="P4 header must end with one whitespace"):
             decode_pbm(data)
 
     def test_format_error_is_a_value_error(self):
