@@ -17,17 +17,32 @@ bytes of int32.  "Is this pixel inside some accepted window" is a
 dilation of the accepted window corners by an s-by-s box, about
 2 * log2(s) shifted ORs over a plane of bytes.
 
-At a known threshold each fitting size costs one ones plane: its accept
-flags (ones at or above the count the cutoff needs), their count and its
-cover are built from it in one place, shared by all three entry points,
-and the first nonempty cover is the output the later ones are ORed into.
-The distance from the observation to each window does not depend on
-gamma, so a search over several thresholds first needs only each size's
-minimum distance d, from its largest ones count: the first threshold at or
-above the smallest d / s**2 is the first with a nonempty completion, and
-the sizes it accepts get their second plane and their cover there.  The
-geometric schedule is inverted for that ratio in closed form, so finding
-the step costs one exact threshold, not a walk over the steps before it.
+The mask is streamed in bands of a fixed number of window-corner rows
+(``_BAND``).  One buffer holds the table rows a band's windows need, at
+most ``_BAND`` + s_max of them; the rows the next band shares are copied
+to its top and only the rest are built, so each table row is built once
+and the memory beyond the input and the output is O(W * (_BAND + s_max)),
+whatever the canvas height.  A canvas of up to ``_BAND`` + s_min - 1 rows
+is one band.
+
+On a canvas that is one band, a known threshold costs each fitting size
+one ones plane: its accept flags (ones at or above the count the cutoff
+needs), their count and its cover are built from it in one place, shared
+by all three entry points, and ORed into the output; a first cover that
+spans the canvas is the output.  The distance from the observation to
+each window does not depend on gamma, so a search over several
+thresholds first needs only each size's minimum distance d, from its
+largest ones count per band: the first threshold at or above the
+smallest d / s**2 is the first with a nonempty completion.  Only the
+bands whose largest count reaches what an accepted size needs get a
+second pass.  On a canvas that is one band it reuses the table; on a
+taller one the band buffer is let go first, and every such band gets a
+small table over the box of its candidate windows, bounded by the mask's
+row and column counts there.  A known threshold on a taller canvas makes
+its output plane before the first band.  Either way a call's peak does
+not depend on which bands accept a window.  The geometric schedule is
+inverted for that ratio in closed form, so finding the step costs one
+exact threshold, not a walk over the steps before it.
 """
 
 import math
@@ -137,6 +152,42 @@ class CompletionReport:
     output_popcount: int = 0
 
 
+# Window-corner rows per band.  A canvas of up to _BAND + s - 1 rows, s the
+# smallest fitting size, is a single band, so 64² and 256² canvases hold
+# their whole table at once and pay nothing for the streaming.
+_BAND = 256
+
+
+def _zero_table(h, w, largest) -> np.ndarray:
+    """(h+1)×(w+1) zeros in the smallest unsigned dtype that holds ``largest``².
+
+    The column pass of :func:`_fill` adds each row into the next, and numpy
+    runs it some 8%, 20% and 30% slower on rows of exactly 1, 2 and 4 KiB
+    (511-, 1023- and 2047-wide canvases in uint16); rows of 1 KiB or more
+    are therefore padded to an odd number of 64-byte cache lines.  Shorter
+    rows run as fast unpadded, which saves a third of a 64-wide table.
+    """
+    dtype = np.min_scalar_type(largest * largest)
+    width = w + 1
+    if width * dtype.itemsize >= 1024:
+        per_line = 64 // dtype.itemsize
+        width = ((width + per_line - 1) // per_line | 1) * per_line
+    return np.zeros((h + 1, width), dtype=dtype)[:, : w + 1]
+
+
+def _fill(table, flags):
+    """Make rows 1.. of ``table`` summed-area rows, one per row of ``flags``.
+
+    Row 0 must already be one (the zero row, or the row the rows of
+    ``flags`` continue), and column 0 must be zero.  The running sums are
+    taken in place, rows first, so no plane is allocated.
+    """
+    rows = table[1:]
+    rows[:, 1:] = flags
+    rows.cumsum(axis=1, out=rows)
+    table.cumsum(axis=0, out=table)
+
+
 def _summed_area(flags, largest) -> np.ndarray:
     """(H+1)×(W+1) summed-area table of ``flags`` at the top-left, wrapped.
 
@@ -145,30 +196,53 @@ def _summed_area(flags, largest) -> np.ndarray:
     ``largest`` holds at most s² ones, so its four-corner difference, taken
     in the same dtype, wraps back to the exact count.  Row 0 and column 0
     are zero, so any box sum is four lookups with no bounds special cases.
-    The running sums are taken in place, rows first, so the table is the
-    only plane allocated.  The column pass adds each row into the next, and
-    numpy runs it two to four times slower when rows lie about a multiple
-    of 4 KiB apart (a 1024-wide canvas); the table is therefore a view into
-    rows padded to an odd number of 64-byte cache lines.
     """
-    h, w = flags.shape
-    dtype = np.min_scalar_type(largest * largest)
-    per_line = 64 // dtype.itemsize
-    lines = (w + per_line) // per_line | 1
-    table = np.zeros((h + 1, lines * per_line), dtype=dtype)[:, : w + 1]
-    table[1:, 1:] = flags
-    np.cumsum(table, axis=1, out=table)
-    np.cumsum(table, axis=0, out=table)
+    table = _zero_table(*flags.shape, largest)
+    _fill(table, flags)
     return table
+
+
+def _bands(mask, sizes):
+    """The summed-area rows of each band of ``_BAND`` window-corner rows.
+
+    Yields (rows, r0, 0, boxes) for r0 = 0, _BAND, ... up to the last
+    corner row of the smallest size: rows[i] is the mask's table row
+    r0 + i, for every row a window of ``sizes`` with its corner in rows
+    [r0, r0 + _BAND) needs, and ``boxes`` maps each size with corners in
+    the band to them, (0, n, 0, W - s + 1) in the rows' coordinates.  The
+    rows live in one buffer of _BAND + max(sizes) rows (fewer on a short
+    canvas) and hold until the next band.  The rows two bands share are
+    copied to the buffer's top and only the rest are built, so each table
+    row is built once.
+    """
+    if not sizes:
+        return
+    h, w = mask.shape
+    large = max(sizes)
+    buf = _zero_table(min(h, _BAND + large - 1), w, large)
+    top = 1  # table rows [r0, top) are built, at buf[: top - r0]
+    for r0 in range(0, h - min(sizes) + 1, _BAND):
+        if r0:
+            buf[: top - r0] = buf[_BAND : top - r0 + _BAND]
+        stop = min(r0 + _BAND + large, h + 1)
+        _fill(buf[top - r0 - 1 : stop - r0], mask[top - 1 : stop - 1])
+        top = stop
+        boxes = {
+            s: (0, min(_BAND, h - s + 1 - r0), 0, w - s + 1)
+            for s in sizes
+            if s <= h - r0
+        }
+        yield buf[: stop - r0], r0, 0, boxes
 
 
 def _ones(table, s) -> np.ndarray:
     """Ones inside every s×s window, in the table's dtype.
 
-    ``table`` is the mask's :func:`_summed_area` for some largest size >= s;
-    entry (i, j) of the result belongs to the window with top-left corner
-    (i, j), which must fit: s <= H and s <= W.  The window's Hamming
-    distance to the mask is s² + total - 2 * ones, so more ones is closer.
+    ``table`` is the mask's :func:`_summed_area` for some largest size >= s,
+    or any block of its rows and columns; entry (i, j) of the result
+    belongs to the window whose top-left corner is at table entry (i, j),
+    which must fit: s <= H and s <= W.  The window's Hamming distance to
+    the mask is s² + total - 2 * ones, so more ones is closer.
     """
     ones = table[s:, s:] - table[:-s, s:]
     ones -= table[s:, :-s]
@@ -182,6 +256,7 @@ def _need(s, total, cutoff) -> int:
     With ``total`` ones in the mask, s² + total - 2 * ones <= cutoff iff
     ones >= ceil((s² + total - cutoff) / 2).  The bound is clamped to
     [0, s² + 1], which the table's dtype holds, so it compares in that dtype.
+    A cutoff below s², which every gamma below 1 gives, needs at least 1.
     """
     return min(max(0, (s * s + total - cutoff + 1) // 2), s * s + 1)
 
@@ -203,7 +278,7 @@ def _running_or(flat, s, step):
 
 
 def _cover(accept, s) -> np.ndarray:
-    """H×W uint8 mask of the pixels inside at least one accepted s×s window.
+    """(h+s-1)×(w+s-1) uint8 mask of the pixels inside an accepted s×s window.
 
     ``accept`` holds one flag per window top-left corner, as laid out by
     :func:`_ones`.  Pixel (i, j) lies in the windows whose corners are
@@ -224,26 +299,93 @@ def _cover(accept, s) -> np.ndarray:
     return plane.view(np.uint8)
 
 
-def _union_of_covers(mask, table, cutoffs):
-    """Union of the covers at ``cutoffs``, and each size's accepted-window count.
+def _union_of_covers(shape, needs, pieces, out=None):
+    """Union of the covers of the windows holding ``needs`` ones, and their counts.
 
-    ``cutoffs`` maps sizes that fit the mask to their distance cutoffs.  A
-    size gets one ones plane, its accept flags, their count and, when any
-    flag is set, its cover; none of them outlives the size, so the next
-    plane is built beside only the table and the output.  The first
-    nonempty cover becomes the output and each later one is ORed into it;
-    a zero plane is made only when every cover is empty.
+    ``needs`` maps sizes to the ones a window must hold to be accepted.
+    ``pieces`` yields (table, r, c, boxes): summed-area rows and columns
+    whose entry (0, 0) sits at pixel (r, c), and for each size the window
+    corners [i0, i1) × [j0, j1) to look at, in the table's coordinates.
+    A size gets one ones plane per piece, its accept flags, their count
+    and, when any flag is set, its cover; the flags are dropped once the
+    cover is built, and nothing outlives the size.  The covers are ORed
+    into ``out``, a zero plane of ``shape`` when given; otherwise a first
+    nonempty cover that spans the canvas becomes the output, and a zero
+    plane is made only when none does.
     """
-    out, accepted = None, {}
-    total = int(np.count_nonzero(mask))
-    for s, cutoff in cutoffs.items():
-        accept = _ones(table, s) >= _need(s, total, cutoff)
-        accepted[s] = int(np.count_nonzero(accept))
-        if accepted[s]:
-            cover = _cover(accept, s)
-            out = cover if out is None else np.bitwise_or(out, cover, out=out)
-        accept = cover = None
-    return (np.zeros(mask.shape, np.uint8) if out is None else out), accepted
+    accepted = dict.fromkeys(needs, 0)
+    for table, r, c, boxes in pieces:
+        for s, (i0, i1, j0, j1) in boxes.items():
+            accept = _ones(table[i0 : i1 + s, j0 : j1 + s], s) >= needs[s]
+            count = int(np.count_nonzero(accept))
+            accepted[s] += count
+            cover = _cover(accept, s) if count else None
+            accept = None
+            if cover is None:
+                continue
+            if out is None and cover.shape == shape:
+                out = cover
+                continue
+            if out is None:
+                out = np.zeros(shape, np.uint8)
+            h, w = cover.shape
+            part = out[r + i0 : r + i0 + h, c + j0 : c + j0 + w]
+            np.bitwise_or(part, cover, out=part)
+            cover = None
+    return (np.zeros(shape, np.uint8) if out is None else out), accepted
+
+
+def _runs(counts, s, need):
+    """First and past-last start of the s-long runs of ``counts`` reaching ``need``."""
+    sums = np.zeros(len(counts) + 1, np.int64)
+    np.cumsum(counts, out=sums[1:])
+    starts = np.flatnonzero(sums[s:] - sums[:-s] >= need)
+    return int(starts[0]), int(starts[-1]) + 1
+
+
+def _candidates(mask, seen, last, needs):
+    """The pieces of a search's second pass: the bands where some window is accepted.
+
+    ``seen`` holds each band's first corner row, boxes and largest ones
+    count per size, from the first pass.  ``last`` is the table of a
+    canvas that is one band, used as it is, or None.  On a taller canvas
+    each accepted size of a band, the last band too, gets a table of its
+    own over the box of its candidate windows: a window holding ``need``
+    ones has at least that many in its s rows and in its s cols, so the
+    box is bounded by the mask's row counts in the band and its col counts
+    in the rows the box keeps.  A window's count depends only on the mask
+    inside it, so that table is exact.
+    """
+    for r0, boxes, peaks in seen:
+        hit = {s: boxes[s][1] for s in needs if s in boxes and peaks[s] >= needs[s]}
+        if not hit:
+            continue
+        if last is not None:
+            yield last, r0, 0, {s: boxes[s] for s in hit}
+            continue
+        slab = mask[r0 : r0 + max(n + s - 1 for s, n in hit.items())]
+        rows = np.count_nonzero(slab, axis=1)
+        for s, n in hit.items():
+            i0, i1 = _runs(rows[: n + s - 1], s, needs[s])
+            strip = slab[i0 : i1 + s - 1]
+            j0, j1 = _runs(np.count_nonzero(strip, axis=0), s, needs[s])
+            table = _summed_area(strip[:, j0 : j1 + s - 1], s)
+            yield table, r0 + i0, j0, {s: (0, i1 - i0, 0, j1 - j0)}
+            table = None
+
+
+def _union_at(mask, needs):
+    """:func:`_union_of_covers` at a known threshold, in one banded pass.
+
+    Each size's accept flags come from the ones plane its band already
+    has.  A canvas of several bands gets its zero output plane before the
+    first band, so every band's ones plane and flags are built beside it
+    and the peak does not depend on which bands accept a window.
+    """
+    out = None
+    if needs and mask.shape[0] - min(needs) + 1 > _BAND:
+        out = np.zeros(mask.shape, np.uint8)
+    return _union_of_covers(mask.shape, needs, _bands(mask, needs), out)
 
 
 def complete_single_size(observed, size, gamma) -> np.ndarray:
@@ -268,17 +410,18 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
     mask, s, g = as_mask(observed), as_int(size, "patch size", 1), as_gamma(gamma)
     if s > min(mask.shape):
         return np.zeros(mask.shape, dtype=np.uint8)
-    return _union_of_covers(mask, _summed_area(mask, s), {s: int(g * (s * s))})[0]
+    needs = {s: _need(s, int(np.count_nonzero(mask)), int(g * (s * s)))}
+    return _union_at(mask, needs)[0]
 
 
-def _complete(mask, sizes, table, cutoffs, step, gamma):
-    """Completion over ``cutoffs``, reported as step ``step`` at ``gamma``.
+def _report(mask, sizes, union, step, gamma):
+    """``union``'s output and its report as step ``step`` at ``gamma``.
 
-    ``cutoffs`` holds the fitting sizes worth a ones pass, each with its
-    cutoff floor(gamma * s**2); every other size of ``sizes`` accepts no
-    window.  ``gamma`` is reported as used when some size accepts one.
+    ``union`` is :func:`_union_of_covers`' result over the fitting sizes
+    worth a ones pass; every other size of ``sizes`` accepts no window.
+    ``gamma`` is reported as used when some size accepts one.
     """
-    out, counts = _union_of_covers(mask, table, cutoffs)
+    out, counts = union
     found = any(counts.values())
     return out, CompletionReport(
         attack_found=found,
@@ -294,8 +437,8 @@ def complete_fixed_gamma(observed, sizes, gamma):
     """Multi-size completion at a single fixed threshold, with a report.
 
     The output is the union of :func:`complete_single_size` over the sizes:
-    each fitting size gets one ones pass, at the known cutoff.  The
-    report has the fields of :func:`gamma_search`'s, with
+    each fitting size gets one ones pass per band, at the known cutoff.
+    The report has the fields of :func:`gamma_search`'s, with
     ``iterations_run`` always 1 and ``gamma_used`` set only when some size
     accepts a window.
 
@@ -304,9 +447,11 @@ def complete_fixed_gamma(observed, sizes, gamma):
     (ndarray, CompletionReport)
     """
     mask, sizes, g = as_mask(observed), normalize_sizes(sizes), as_gamma(gamma)
-    cutoffs = {s: int(g * (s * s)) for s in sizes if s <= min(mask.shape)}
-    table = _summed_area(mask, max(cutoffs, default=0))
-    return _complete(mask, sizes, table, cutoffs, 1, g)
+    total = int(np.count_nonzero(mask))
+    needs = {
+        s: _need(s, total, int(g * (s * s))) for s in sizes if s <= min(mask.shape)
+    }
+    return _report(mask, sizes, _union_at(mask, needs), 1, g)
 
 
 def gamma_search(observed, sizes, schedule=GammaSchedule()):
@@ -323,8 +468,9 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     at most floor(gamma * s**2); distances are integers, so that holds iff
     gamma >= d / s**2.  The smallest ratio rho of a size's minimum window
     distance to s**2 therefore decides the search, and no gamma below 1
-    reaches a ratio of 1 (a blank mask, or no size fits).  Only the sizes
-    accepted at the chosen threshold get a second ones pass and a cover.
+    reaches a ratio of 1 (a blank mask, or no size fits).  Only the bands
+    and sizes some window of which is accepted at the chosen threshold get
+    a second ones pass and a cover.
 
     Returns
     -------
@@ -332,12 +478,22 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     """
     mask, sizes = as_mask(observed), normalize_sizes(sizes)
     fitting = [s for s in sizes if s <= min(mask.shape)]
-    table = _summed_area(mask, max(fitting, default=0))
     total = int(np.count_nonzero(mask))
-    # One ones plane alive at a time: only its maximum is kept.
-    d_min = {s: s * s + total - 2 * int(_ones(table, s).max()) for s in fitting}
+    # One ones plane alive at a time: only each band's maximum is kept.
+    seen, rows = [], None
+    for rows, r0, _, boxes in _bands(mask, fitting):
+        peaks = {
+            s: int(_ones(rows[: n + s], s).max()) for s, (_, n, _, _) in boxes.items()
+        }
+        seen.append((r0, boxes, peaks))
+    # A taller canvas lets its band buffer go, so the second pass holds the
+    # output beside box tables alone, wherever the accepted windows lie.
+    last, rows = (rows if len(seen) == 1 else None), None
+    best = {s: max(p[s] for _, _, p in seen if s in p) for s in fitting}
+    d_min = {s: s * s + total - 2 * ones for s, ones in best.items()}
     rho = min((Fraction(d, s * s) for s, d in d_min.items()), default=Fraction(1))
     step, gamma = schedule._first_step(rho)
     cutoffs = {} if gamma is None else {s: int(gamma * (s * s)) for s in d_min}
-    cutoffs = {s: c for s, c in cutoffs.items() if d_min[s] <= c}
-    return _complete(mask, sizes, table, cutoffs, step, gamma)
+    needs = {s: _need(s, total, c) for s, c in cutoffs.items() if d_min[s] <= c}
+    union = _union_of_covers(mask.shape, needs, _candidates(mask, seen, last, needs))
+    return _report(mask, sizes, union, step, gamma)

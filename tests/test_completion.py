@@ -319,8 +319,10 @@ class TestCompleteMultiSize:
         assert np.array_equal(complete_fixed_gamma(mask, sizes, 0.3)[0], want)
 
     def test_search_peak_memory_is_bounded(self, rng):
-        # The uint16 table, one uint16 ones plane and its accept flags,
-        # beside the output once a size has covered: about 4.8 B/px.
+        # Two bands of 256 window-corner rows: the 356-row uint16 band
+        # buffer (1.48 B/px at 512²) beside one band's ones plane, or in
+        # the second pass beside the output and a small box table: about
+        # 2.57 B/px.  A whole-canvas table read about 4.6 B/px.
         mask = planted_patch(rng, 512, 512, 50, flips=200)
         tracemalloc.start()
         try:
@@ -329,12 +331,13 @@ class TestCompleteMultiSize:
         finally:
             tracemalloc.stop()
         assert report.attack_found and out.any()
-        assert peak <= 5.5 * 512 * 512
+        assert peak <= 2.75 * 512 * 512
 
     def test_fixed_peak_memory_is_bounded(self, rng):
-        # The planes of the search's peak, reached here on the first size's
-        # pass: about 5.6 B/px.  A size's accept flags kept alive into the
-        # next size's ones pass read about 6.3 B/px.
+        # The band buffer, the first band's ones plane for s=25 and its
+        # accept flags, beside the output, which a canvas of two bands makes
+        # before the first: about 3.92 B/px.  A whole-canvas table read
+        # about 5.3 B/px.
         mask = planted_patch(rng, 512, 512, 50, flips=200)
         tracemalloc.start()
         try:
@@ -343,7 +346,57 @@ class TestCompleteMultiSize:
         finally:
             tracemalloc.stop()
         assert report.attack_found and out.any()
-        assert peak <= 6 * 512 * 512
+        assert peak <= 4 * 512 * 512
+
+    @pytest.mark.parametrize("where", ["middle", "bottom"])
+    def test_search_memory_beyond_the_output_does_not_grow_with_h(self, where):
+        # At W = 1024 the first pass holds the band buffer, 356 padded
+        # uint16 rows (0.75 MB), beside one band's ones plane, 1.24 MB in
+        # all; the second holds the output beside a box table.  Less the
+        # output, the peak reads 0.24 MB at H = 1024 and 0.04 MB at
+        # H = 4096, in a middle band or the last.  A whole-canvas table
+        # alone would be 2 B/px, 8 MB at H = 4096.
+        for h in (1024, 4096):
+            rng = np.random.default_rng(18)
+            mask = np.zeros((h, 1024), dtype=np.uint8)
+            top = h // 2 - 37 if where == "middle" else h - 60
+            mask[top : top + 50, 300:350] = 1
+            mask.flat[rng.choice(mask.size, 400, replace=False)] ^= 1
+            tracemalloc.start()
+            try:
+                out, report = gamma_search(mask, (25, 50, 75, 100))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.per_size_accepted[50] >= 1 and out[top + 25, 325]
+            assert peak - out.nbytes <= 1.25 * 2**20
+
+    @pytest.mark.parametrize("entry", ["search", "fixed", "single"])
+    def test_peak_memory_does_not_depend_on_the_patch_band(self, entry):
+        # A 25×25 patch in the first band, across both, or in the last of a
+        # 512² canvas.  Each band holds the same planes wherever the patch
+        # is; a search whose second pass kept the last band's rows, or a
+        # pass that made the output only at its first cover, moved the peak
+        # by 0.26–0.80 B/px with the patch.
+        run = {
+            "search": lambda m: gamma_search(m, (25, 50, 75, 100))[0],
+            "fixed": lambda m: complete_fixed_gamma(m, (25, 50, 75, 100), 0.3)[0],
+            "single": lambda m: complete_single_size(m, 25, 0.3),
+        }[entry]
+        peaks = []
+        for top in (10, 254, 480):
+            rng = np.random.default_rng(18)
+            mask = np.zeros((512, 512), dtype=np.uint8)
+            mask[top : top + 25, 200:225] = 1
+            mask.flat[rng.choice(mask.size, 50, replace=False)] ^= 1
+            tracemalloc.start()
+            try:
+                out = run(mask)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert out[top + 12, 212]
+        assert max(peaks) - min(peaks) <= 0.02 * 512 * 512
 
     def test_empty_size_set_gives_empty_mask(self, rng):
         mask = random_mask(rng, 8, 8)
@@ -672,22 +725,28 @@ class TestReportInvariants:
 
 
 class TestPassCounts:
-    """One summed-area table per call, and one ones pass per size and use."""
+    """Each table row built once, and one ones pass per size, band and use."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        """Tables built and the size of each ones pass, in call order."""
-        seen = {"tables": 0, "sizes": []}
-        table, ones = completion._summed_area, completion._ones
+        """Rows summed per :func:`_fill`, each box table's flags and each
+        ones pass's size, in call order; box tables have fills of their own."""
+        seen = {"fills": [], "tables": [], "sizes": []}
+        fill, table, ones = completion._fill, completion._summed_area, completion._ones
+
+        def counted_fill(t, flags):
+            seen["fills"].append(len(flags))
+            fill(t, flags)
 
         def counted_table(flags, largest):
-            seen["tables"] += 1
+            seen["tables"].append(flags.shape)
             return table(flags, largest)
 
         def counted_ones(t, s):
             seen["sizes"].append(s)
             return ones(t, s)
 
+        monkeypatch.setattr(completion, "_fill", counted_fill)
         monkeypatch.setattr(completion, "_summed_area", counted_table)
         monkeypatch.setattr(completion, "_ones", counted_ones)
         return seen
@@ -696,14 +755,14 @@ class TestPassCounts:
         mask = np.zeros((40, 40), dtype=np.uint8)
         mask[5:17, 9:21] = 1
         assert complete_single_size(mask, 12, 0.3).any()
-        assert passes == {"tables": 1, "sizes": [12]}
+        assert passes == {"fills": [40], "tables": [], "sizes": [12]}
 
     def test_fixed_gamma_makes_one_pass_per_fitting_size(self, passes):
         mask = np.zeros((40, 40), dtype=np.uint8)
         mask[5:17, 9:21] = 1
         _, report = complete_fixed_gamma(mask, (4, 12, 16, 50), 0.3)
         assert report.per_size_accepted == {4: 0, 12: 5, 16: 0, 50: 0}
-        assert passes == {"tables": 1, "sizes": [4, 12, 16]}
+        assert passes == {"fills": [40], "tables": [], "sizes": [4, 12, 16]}
 
     def test_search_repeats_only_the_sizes_accepted_at_the_stop(self, passes):
         mask = np.zeros((40, 40), dtype=np.uint8)
@@ -712,12 +771,45 @@ class TestPassCounts:
         _, report = gamma_search(mask, (12, 16, 20, 50))
         assert report.iterations_run == 1
         assert report.per_size_accepted == {12: 1, 16: 0, 20: 0, 50: 0}
-        assert passes == {"tables": 1, "sizes": [12, 16, 20, 12]}
+        assert passes == {"fills": [40], "tables": [], "sizes": [12, 16, 20, 12]}
 
     def test_search_on_a_blank_mask_makes_only_the_minimum_passes(self, passes):
         _, report = gamma_search(np.zeros((40, 40), dtype=np.uint8), (12, 16, 50))
         assert not report.attack_found
-        assert passes == {"tables": 1, "sizes": [12, 16]}
+        assert passes == {"fills": [40], "tables": [], "sizes": [12, 16]}
+
+    def test_no_fitting_size_builds_no_table(self, passes):
+        mask = np.zeros((2048, 50), dtype=np.uint8)
+        mask[100:140, 5:45] = 1
+        none = dict(per_size_accepted={64: 0, 100: 0}, skipped_sizes=(64, 100))
+        out, report = gamma_search(mask, (64, 100))
+        assert not out.any() and out.shape == mask.shape
+        assert report == CompletionReport(False, None, 15, **none)
+        out, report = complete_fixed_gamma(mask, (64, 100), 0.5)
+        assert not out.any() and out.shape == mask.shape
+        assert report == CompletionReport(False, None, 1, **none)
+        assert passes == {"fills": [], "tables": [], "sizes": []}
+
+    def test_bands_build_each_table_row_once(self, passes, monkeypatch):
+        # Bands of 4 corner rows: s=12 has corners in all 8 bands up to row
+        # 28, s=16 in 7 and s=20 in 6.  The search accepts one 12×12 window
+        # in band 1, which is not the last: its second pass builds one box
+        # table over the rows and cols whose counts could reach the need,
+        # here the window alone.
+        monkeypatch.setattr(completion, "_BAND", 4)
+        mask = np.zeros((40, 40), dtype=np.uint8)
+        mask[5:17, 9:21] = 1
+        mask[30, 30] = 1
+        _, report = gamma_search(mask, (12, 16, 20, 50))
+        assert report.per_size_accepted == {12: 1, 16: 0, 20: 0, 50: 0}
+        band_rows = sum(passes["fills"]) - sum(rows for rows, _ in passes["tables"])
+        assert band_rows == 40
+        assert passes["tables"] == [(12, 12)]
+        assert passes["sizes"] == [12, 16, 20] * 6 + [12, 16] + [12] + [12]
+        passes.update(fills=[], tables=[], sizes=[])
+        complete_fixed_gamma(mask, (12, 16, 20, 50), 0.3)
+        assert sum(passes["fills"]) == 40 and passes["tables"] == []
+        assert passes["sizes"] == [12, 16, 20] * 6 + [12, 16] + [12]
 
     def test_cover_is_built_at_one_call_site(self):
         sites = []
@@ -726,6 +818,68 @@ class TestPassCounts:
             finder.visit(ast.parse(path.read_text()))
             sites += finder.sites
         assert sites == ["completion._union_of_covers"]
+
+
+class TestBands:
+    """Streaming over row bands changes no output and no report field."""
+
+    @staticmethod
+    def runs(mask, sizes, gamma, schedule):
+        return (
+            gamma_search(mask, sizes, schedule),
+            complete_fixed_gamma(mask, sizes, gamma),
+            [complete_single_size(mask, s, gamma) for s in sizes],
+        )
+
+    def test_every_band_height_matches_the_oracle_and_one_band(self, monkeypatch):
+        # Band heights 1, 2, 3 and s - 1, s, s + 1 for each size in the
+        # call; a canvas of at most 40 rows is one band at the default
+        # height.  Most pairs of size and height leave the size's last
+        # corner row partway through the last band.
+        one_band, boxes, partial = completion._BAND, [], 0
+        table = completion._summed_area
+        def counted_table(flags, largest):
+            boxes.append(flags.shape)
+            return table(flags, largest)
+
+        monkeypatch.setattr(completion, "_summed_area", counted_table)
+        for k in range(16):
+            rng = np.random.default_rng([18, k])
+            H, W = (int(v) for v in rng.integers(6, 41, 2))
+            pool = np.arange(1, min(H, W) + 4)  # up to three sizes past the canvas
+            sizes = sorted(int(v) for v in rng.choice(pool, 3, replace=False))
+            if k % 4 == 0:
+                mask = random_mask(rng, H, W, density=float(rng.random()))
+            else:
+                size = min(sizes[k % 3], H, W)
+                flips = int(rng.integers(0, size * size // 4 + 1))
+                mask = planted_patch(rng, H, W, size, flips)
+                mask.flat[rng.choice(H * W, k % 3, replace=False)] = 1
+            gamma = Fraction(int(rng.integers(0, 100)), 100)
+            schedule = GammaSchedule(t_max=int(rng.integers(1, 16)))
+
+            monkeypatch.setattr(completion, "_BAND", one_band)
+            want = self.runs(mask, sizes, gamma, schedule)
+            (out, report), (fixed, _), singles = want
+            assert np.array_equal(fixed, oracle_complete_multi(mask, sizes, gamma))
+            for s, single in zip(sizes, singles):
+                assert np.array_equal(single, oracle_complete_single(mask, s, gamma))
+            if report.attack_found:
+                stop = schedule.gamma(report.iterations_run)
+                assert np.array_equal(out, oracle_complete_multi(mask, sizes, stop))
+
+            heights = {1, 2, 3} | {s + d for s in sizes for d in (-1, 0, 1)}
+            for band in sorted(heights - {0}):
+                monkeypatch.setattr(completion, "_BAND", band)
+                got = self.runs(mask, sizes, gamma, schedule)
+                for (a, ra), (b, rb) in zip(got[:2], want[:2]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                    assert ra == rb
+                for a, b in zip(got[2], want[2]):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                partial += any((H - s + 1) % band for s in sizes if s <= H)
+        assert boxes, "no second pass ran on a band that was not the last"
+        assert partial
 
 
 class _CallSites(ast.NodeVisitor):
