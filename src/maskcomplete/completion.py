@@ -10,20 +10,27 @@ of qualifying windows.
 The implementation runs in time linear in the image area: one summed-area
 table turns the ones inside every window into a four-corner lookup, and a
 window holding ``ones`` set pixels lies at distance s**2 + total - 2 * ones
-from a mask with ``total`` set pixels.  The table is kept modulo 2**bits
-in the smallest unsigned dtype that holds the largest fitting s**2 (uint16
-for sides 16 to 255), so every window count comes back exact in half the
-bytes of int32.  "Is this pixel inside some accepted window" is a
-dilation of the accepted window corners by an s-by-s box, about
-2 * log2(s) shifted ORs over a plane of bytes.
+from a mask with ``total`` set pixels.  Table row i counts the ones in
+mask rows i and below and in the cols left of each entry, so the zero row
+is the last and col 0 is zero.  The table is kept modulo 2**bits in the
+smallest unsigned dtype that holds the largest fitting s**2 (uint16 for
+sides 16 to 255), so every window count comes back exact in half the
+bytes of int32.  Each row is summed along its cols by a running sum,
+then the rows are summed from the bottom by doubling, in place.  "Is this
+pixel inside some accepted window" is a dilation of the accepted window
+corners by an s-by-s box, about 2 * log2(s) shifted ORs over a plane of
+bytes.
 
 The mask is streamed in bands of a fixed number of window-corner rows
-(``_BAND``).  One buffer holds the table rows a band's windows need, at
-most ``_BAND`` + s_max of them; the rows the next band shares are copied
-to its top and only the rest are built, so each table row is built once
-and the memory beyond the input and the output is O(W * (_BAND + s_max)),
-whatever the canvas height.  A canvas of up to ``_BAND`` + s_min - 1 rows
-is one band.
+(``_BAND``), from the bottom band up.  One buffer holds the table rows a
+band's windows need, at most ``_BAND`` + s_max of them; the rows the band
+above shares are copied from the buffer's top to just below its new rows,
+where they seed the new rows' column pass, so each table row is built
+once.  A band's column pass costs ceil(log2(rows + 1)) plane adds over at
+most ``_BAND`` + s_max rows, so the time stays linear in the area, and the
+memory beyond the input and the output is O(W * (_BAND + s_max)), whatever
+the canvas height.  A canvas of up to ``_BAND`` + s_min - 1 rows is one
+band.
 
 On a canvas that is one band, a known threshold costs each fitting size
 one ones plane: its accept flags (ones at or above the count the cutoff
@@ -161,41 +168,43 @@ _BAND = 256
 def _zero_table(h, w, largest) -> np.ndarray:
     """(h+1)×(w+1) zeros in the smallest unsigned dtype that holds ``largest``².
 
-    The column pass of :func:`_fill` adds each row into the next, and numpy
-    runs it some 8%, 20% and 30% slower on rows of exactly 1, 2 and 4 KiB
-    (511-, 1023- and 2047-wide canvases in uint16); rows of 1 KiB or more
-    are therefore padded to an odd number of 64-byte cache lines.  Shorter
-    rows run as fast unpadded, which saves a third of a 64-wide table.
+    The rows are left unpadded: :func:`_fill`'s column pass needs them
+    contiguous, and rows of exactly 1, 2 or 4 KiB build as fast as rows a
+    cache line longer.
     """
-    dtype = np.min_scalar_type(largest * largest)
-    width = w + 1
-    if width * dtype.itemsize >= 1024:
-        per_line = 64 // dtype.itemsize
-        width = ((width + per_line - 1) // per_line | 1) * per_line
-    return np.zeros((h + 1, width), dtype=dtype)[:, : w + 1]
+    return np.zeros((h + 1, w + 1), dtype=np.min_scalar_type(largest * largest))
 
 
 def _fill(table, flags):
-    """Make rows 1.. of ``table`` summed-area rows, one per row of ``flags``.
+    """Make every row of ``table`` but the last a summed-area row of ``flags``.
 
-    Row 0 must already be one (the zero row, or the row the rows of
-    ``flags`` continue), and column 0 must be zero.  The running sums are
-    taken in place, rows first, so no plane is allocated.
+    The last row must already be one (the zero row, or the row the rows of
+    ``flags`` continue upward), column 0 must be zero, and ``table`` must
+    be C-contiguous.  Each row is summed along its cols in place; then
+    adding to every row the row k below it, for k = 1, 2, 4, ..., makes
+    each row the sum of the 2k rows from it down, so ceil(log2(rows + 1))
+    whole-plane adds finish the column pass.  The rows read lie ahead of
+    the rows written on one contiguous block, so numpy adds in place
+    without copying an operand, and no plane is allocated.
     """
-    rows = table[1:]
+    rows = table[:-1]
     rows[:, 1:] = flags
     rows.cumsum(axis=1, out=rows)
-    table.cumsum(axis=0, out=table)
+    k = 1
+    while k < len(table):
+        table[:-k] += table[k:]
+        k *= 2
 
 
 def _summed_area(flags, largest) -> np.ndarray:
-    """(H+1)×(W+1) summed-area table of ``flags`` at the top-left, wrapped.
+    """(H+1)×(W+1) summed-area table of ``flags`` toward the bottom-left, wrapped.
 
-    Entry (i, j) counts the ones in ``flags[:i, :j]`` modulo 2^bits, in the
+    Entry (i, j) counts the ones in ``flags[i:, :j]`` modulo 2^bits, in the
     smallest unsigned dtype that holds ``largest``².  A window of side s <=
     ``largest`` holds at most s² ones, so its four-corner difference, taken
-    in the same dtype, wraps back to the exact count.  Row 0 and column 0
-    are zero, so any box sum is four lookups with no bounds special cases.
+    in the same dtype, wraps back to the exact count.  The last row and
+    column 0 are zero, so any box sum is four lookups with no bounds
+    special cases.
     """
     table = _zero_table(*flags.shape, largest)
     _fill(table, flags)
@@ -205,34 +214,36 @@ def _summed_area(flags, largest) -> np.ndarray:
 def _bands(mask, sizes):
     """The summed-area rows of each band of ``_BAND`` window-corner rows.
 
-    Yields (rows, r0, 0, boxes) for r0 = 0, _BAND, ... up to the last
-    corner row of the smallest size: rows[i] is the mask's table row
-    r0 + i, for every row a window of ``sizes`` with its corner in rows
-    [r0, r0 + _BAND) needs, and ``boxes`` maps each size with corners in
-    the band to them, (0, n, 0, W - s + 1) in the rows' coordinates.  The
-    rows live in one buffer of _BAND + max(sizes) rows (fewer on a short
-    canvas) and hold until the next band.  The rows two bands share are
-    copied to the buffer's top and only the rest are built, so each table
-    row is built once.
+    Yields (rows, r0, 0, boxes) for the bands' first corner rows r0 = 0,
+    _BAND, ... up to the last corner row of the smallest size, the last
+    band first: rows[i] is the mask's table row r0 + i, for every row a
+    window of ``sizes`` with its corner in rows [r0, r0 + _BAND) needs,
+    and ``boxes`` maps each size with corners in the band to them, (0, n,
+    0, W - s + 1) in the rows' coordinates.  The rows live in one buffer
+    of _BAND + max(sizes) rows (fewer on a short canvas) and hold until
+    the next band.  A table row sums the mask from its row down, so the
+    bands are built upward: the rows two bands share are copied from the
+    buffer's top to just below the new rows, where they seed the new
+    rows' column pass, and each table row is built once.
     """
     if not sizes:
         return
     h, w = mask.shape
     large = max(sizes)
     buf = _zero_table(min(h, _BAND + large - 1), w, large)
-    top = 1  # table rows [r0, top) are built, at buf[: top - r0]
-    for r0 in range(0, h - min(sizes) + 1, _BAND):
-        if r0:
-            buf[: top - r0] = buf[_BAND : top - r0 + _BAND]
-        stop = min(r0 + _BAND + large, h + 1)
-        _fill(buf[top - r0 - 1 : stop - r0], mask[top - 1 : stop - 1])
-        top = stop
+    below = h  # table rows [below, h] are built, from buf[below - r0] on
+    for r0 in reversed(range(0, h - min(sizes) + 1, _BAND)):
+        end = min(r0 + _BAND + large, h + 1)
+        if below < h:
+            buf[below - r0 : end - r0] = buf[: end - below]
+        _fill(buf[: below - r0 + 1], mask[r0:below])
+        below = r0
         boxes = {
             s: (0, min(_BAND, h - s + 1 - r0), 0, w - s + 1)
             for s in sizes
             if s <= h - r0
         }
-        yield buf[: stop - r0], r0, 0, boxes
+        yield buf[: end - r0], r0, 0, boxes
 
 
 def _ones(table, s) -> np.ndarray:
@@ -241,12 +252,14 @@ def _ones(table, s) -> np.ndarray:
     ``table`` is the mask's :func:`_summed_area` for some largest size >= s,
     or any block of its rows and columns; entry (i, j) of the result
     belongs to the window whose top-left corner is at table entry (i, j),
-    which must fit: s <= H and s <= W.  The window's Hamming distance to
-    the mask is s² + total - 2 * ones, so more ones is closer.
+    which must fit: s <= H and s <= W.  Rows i and i + s bound the window's
+    rows from above and below, so each col's count is row i less row i + s.
+    The window's Hamming distance to the mask is s² + total - 2 * ones, so
+    more ones is closer.
     """
-    ones = table[s:, s:] - table[:-s, s:]
-    ones -= table[s:, :-s]
-    ones += table[:-s, :-s]
+    ones = table[:-s, s:] - table[s:, s:]
+    ones -= table[:-s, :-s]
+    ones += table[s:, :-s]
     return ones
 
 

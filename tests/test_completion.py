@@ -320,9 +320,9 @@ class TestCompleteMultiSize:
 
     def test_search_peak_memory_is_bounded(self, rng):
         # Two bands of 256 window-corner rows: the 356-row uint16 band
-        # buffer (1.48 B/px at 512²) beside one band's ones plane, or in
+        # buffer (1.39 B/px at 512²) beside one band's ones plane, or in
         # the second pass beside the output and a small box table: about
-        # 2.57 B/px.  A whole-canvas table read about 4.6 B/px.
+        # 2.48 B/px.  A whole-canvas table read about 4.6 B/px.
         mask = planted_patch(rng, 512, 512, 50, flips=200)
         tracemalloc.start()
         try:
@@ -336,7 +336,7 @@ class TestCompleteMultiSize:
     def test_fixed_peak_memory_is_bounded(self, rng):
         # The band buffer, the first band's ones plane for s=25 and its
         # accept flags, beside the output, which a canvas of two bands makes
-        # before the first: about 3.92 B/px.  A whole-canvas table read
+        # before the first: about 3.83 B/px.  A whole-canvas table read
         # about 5.3 B/px.
         mask = planted_patch(rng, 512, 512, 50, flips=200)
         tracemalloc.start()
@@ -350,10 +350,10 @@ class TestCompleteMultiSize:
 
     @pytest.mark.parametrize("where", ["middle", "bottom"])
     def test_search_memory_beyond_the_output_does_not_grow_with_h(self, where):
-        # At W = 1024 the first pass holds the band buffer, 356 padded
-        # uint16 rows (0.75 MB), beside one band's ones plane, 1.24 MB in
+        # At W = 1024 the first pass holds the band buffer, 356 uint16
+        # rows (0.73 MB), beside one band's ones plane, 1.22 MB in
         # all; the second holds the output beside a box table.  Less the
-        # output, the peak reads 0.24 MB at H = 1024 and 0.04 MB at
+        # output, the peak reads 0.23 MB at H = 1024 and 0.04 MB at
         # H = 4096, in a middle band or the last.  A whole-canvas table
         # alone would be 2 B/px, 8 MB at H = 4096.
         for h in (1024, 4096):
@@ -791,11 +791,12 @@ class TestPassCounts:
         assert passes == {"fills": [], "tables": [], "sizes": []}
 
     def test_bands_build_each_table_row_once(self, passes, monkeypatch):
-        # Bands of 4 corner rows: s=12 has corners in all 8 bands up to row
-        # 28, s=16 in 7 and s=20 in 6.  The search accepts one 12×12 window
-        # in band 1, which is not the last: its second pass builds one box
-        # table over the rows and cols whose counts could reach the need,
-        # here the window alone.
+        # Bands of 4 corner rows, built from the bottom up: s=12 has corners
+        # in all 8 bands up to row 28, s=16 in 7 and s=20 in 6, so the last
+        # band holds s=12 alone and the one above it s=12 and s=16.  The
+        # search accepts one 12×12 window in band 1, which is not the last:
+        # its second pass builds one box table over the rows and cols whose
+        # counts could reach the need, here the window alone.
         monkeypatch.setattr(completion, "_BAND", 4)
         mask = np.zeros((40, 40), dtype=np.uint8)
         mask[5:17, 9:21] = 1
@@ -805,11 +806,11 @@ class TestPassCounts:
         band_rows = sum(passes["fills"]) - sum(rows for rows, _ in passes["tables"])
         assert band_rows == 40
         assert passes["tables"] == [(12, 12)]
-        assert passes["sizes"] == [12, 16, 20] * 6 + [12, 16] + [12] + [12]
+        assert passes["sizes"] == [12] + [12, 16] + [12, 16, 20] * 6 + [12]
         passes.update(fills=[], tables=[], sizes=[])
         complete_fixed_gamma(mask, (12, 16, 20, 50), 0.3)
         assert sum(passes["fills"]) == 40 and passes["tables"] == []
-        assert passes["sizes"] == [12, 16, 20] * 6 + [12, 16] + [12]
+        assert passes["sizes"] == [12] + [12, 16] + [12, 16, 20] * 6
 
     def test_cover_is_built_at_one_call_site(self):
         sites = []

@@ -39,7 +39,7 @@ from maskcomplete import (
     run_benchmark,
     union,
 )
-from maskcomplete.completion import _ones, _summed_area
+from maskcomplete.completion import _fill, _ones, _summed_area, _zero_table
 
 small_masks = arrays(
     np.uint8,
@@ -86,6 +86,13 @@ class TestAsMask:
 def table_of(mask):
     """The engine's summed-area table of a whole mask, for every size that fits."""
     return _summed_area(mask, min(mask.shape))
+
+
+def reference_table(mask):
+    """The table in int64, unwrapped: entry (i, j) counts the ones in mask[i:, :j]."""
+    table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
+    table[:-1, 1:] = mask[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
+    return table
 
 
 _MASK = np.eye(8, dtype=np.uint8)
@@ -389,12 +396,12 @@ class TestIntegralImage:
 
     def test_all_ones_2x2(self):
         table = table_of(np.ones((2, 2), dtype=np.uint8))
-        assert table[2, 2] == 4
+        assert table[0, 2] == 4
         assert table[1, 1] == 1
 
     def test_zero_border(self, rng):
         table = table_of(random_mask(rng, 6, 9))
-        assert not table[0].any()
+        assert not table[-1].any()
         assert not table[:, 0].any()
 
     def test_matches_double_sum(self, rng):
@@ -403,25 +410,27 @@ class TestIntegralImage:
         for i in range(9):
             for j in range(9):
                 direct = sum(
-                    int(mask[r, c]) for r in range(i) for c in range(j)
+                    int(mask[r, c]) for r in range(i, 8) for c in range(j)
                 )
                 assert table[i, j] == direct
+        assert np.array_equal(table, reference_table(mask))
 
     def test_total_equals_popcount(self, rng):
         mask = random_mask(rng, 11, 7, density=0.3)
-        assert table_of(mask)[-1, -1] == popcount(mask)
+        assert table_of(mask)[0, -1] == popcount(mask)
 
     @settings(max_examples=50)
     @given(mask=small_masks)
     def test_monotone_rows_and_cols(self, mask):
-        # At most 144 ones: no entry wraps, so the sums rise in both axes.
+        # At most 144 ones: no entry wraps, so the sums fall down the rows
+        # and rise along the cols, and equal the unwrapped reference.
         table = table_of(mask).astype(np.int64)
-        assert (np.diff(table, axis=0) >= 0).all()
+        assert np.array_equal(table, reference_table(mask))
+        assert (np.diff(table, axis=0) <= 0).all()
         assert (np.diff(table, axis=1) >= 0).all()
 
     def test_peak_memory_is_the_table_alone(self):
-        # A 2-byte table for sizes up to 255; its rows are padded by less
-        # than two 64-byte cache lines each.
+        # A 2-byte table for sizes up to 255, its rows unpadded.
         mask = np.ones((512, 512), dtype=np.uint8)
         tracemalloc.start()
         try:
@@ -430,8 +439,24 @@ class TestIntegralImage:
         finally:
             tracemalloc.stop()
         assert table.dtype == np.uint16
-        assert table[-1, -1] == 512 * 512 % 2**16
-        assert peak <= 2 * 513 * 513 + 128 * 513 + 4 * 1024
+        assert table[0, -1] == 512 * 512 % 2**16
+        assert peak <= 2 * 513 * 513 + 4 * 1024
+
+    def test_fill_allocates_no_plane(self, rng):
+        # Both passes run in place: the row pass as a cumsum into its own
+        # rows, the column pass as adds whose read rows lie ahead of the
+        # written ones, which numpy takes without copying an operand.
+        mask = random_mask(rng, 512, 512, density=0.5)
+        table = _zero_table(512, 512, 255)
+        tracemalloc.start()
+        try:
+            _fill(table, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.dtype == np.uint16
+        assert np.array_equal(table, reference_table(mask) % 2**16)
+        assert peak <= 4 * 1024
 
     @pytest.mark.parametrize(
         "largest,dtype",
@@ -459,7 +484,7 @@ class TestIntegralImage:
         # range, yet every window up to the largest holds exactly s² ones.
         table = _summed_area(np.ones((side, side), dtype=np.uint8), largest)
         assert table.dtype == dtype
-        assert table[-1, -1] == side * side % 2 ** (8 * table.itemsize)
+        assert table[0, -1] == side * side % 2 ** (8 * table.itemsize)
         for s in sorted({1, 2, largest // 2, largest - 1, largest}):
             ones = _ones(table, s)
             assert ones.dtype == dtype and ones.shape == (side - s + 1,) * 2
@@ -468,21 +493,22 @@ class TestIntegralImage:
     @pytest.mark.parametrize("largest", [15, 16, 255])
     def test_wrapped_window_sums_equal_an_int64_reference(self, rng, largest):
         mask = random_mask(rng, 300, 280, density=0.8)
-        wide = np.zeros((301, 281), dtype=np.int64)
-        wide[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
+        wide = reference_table(mask)
         table = _summed_area(mask, largest)
+        assert np.array_equal(table, wide % 2 ** (8 * table.itemsize))
         for s in (1, 7, largest):
-            want = wide[s:, s:] - wide[:-s, s:] - wide[s:, :-s] + wide[:-s, :-s]
+            want = wide[:-s, s:] - wide[s:, s:] - wide[:-s, :-s] + wide[s:, :-s]
             assert np.array_equal(_ones(table, s), want)
 
 
 def window_sum(table, s, i, j):
     """Ones inside the s×s window at (i, j), by a four-corner lookup.
 
-    The table wraps modulo 2^bits, so the difference is taken modulo the
-    same; the window's count lies below it.
+    Row i counts the ones from the window's top row down and row i + s
+    those below it.  The table wraps modulo 2^bits, so the difference is
+    taken modulo the same; the window's count lies below it.
     """
-    corners = table[i + s, j + s], table[i, j + s], table[i + s, j], table[i, j]
+    corners = table[i, j + s], table[i + s, j + s], table[i, j], table[i + s, j]
     a, b, c, d = (int(v) for v in corners)
     return (a - b - c + d) % 2 ** (8 * table.itemsize)
 
@@ -501,11 +527,12 @@ class TestWindowSum:
     @pytest.mark.parametrize("size", [1, 3, 7, 10])
     def test_matches_per_window_popcount(self, rng, size):
         mask = random_mask(rng, 10, 10)
-        table = table_of(mask)
+        table, reference = table_of(mask), reference_table(mask)
         for i in range(10 - size + 1):
             for j in range(10 - size + 1):
                 direct = int(mask[i : i + size, j : j + size].sum())
                 assert window_sum(table, size, i, j) == direct
+                assert window_sum(reference, size, i, j) == direct
 
 
 class TestHammingToCandidate:
