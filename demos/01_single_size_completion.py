@@ -7,7 +7,7 @@ gamma.  The union of accepted placements is the completed mask.
 
 import numpy as np
 
-from maskcomplete import complete_single_size, popcount
+from maskcomplete import complete_single_size
 
 
 def show(mask, title):
@@ -24,13 +24,13 @@ observed = np.zeros((H, W), dtype=np.uint8)
 observed[8 : 8 + s, 9 : 9 + s] = 1
 observed[8:13, 9:17] = 0  # tear off the upper-left corner (40 pixels)
 
-show(observed, f"observed ({popcount(observed)} pixels on)")
+show(observed, f"observed ({np.count_nonzero(observed)} pixels on)")
 
 # 40 missing pixels out of 144 is a relative distance of ~0.28,
 # so gamma = 0.3 accepts the true placement; gamma = 0.2 does not.
 for gamma in (0.2, 0.3):
     completed = complete_single_size(observed, s, gamma)
-    show(completed, f"completed at gamma={gamma} ({popcount(completed)} pixels on)")
+    show(completed, f"completed at gamma={gamma} ({np.count_nonzero(completed)} pixels on)")
 
 # At 0.3 the completion is a superset of the original patch: every
 # placement that could explain the observation is covered.

@@ -14,7 +14,6 @@ from maskcomplete import (
     GammaSchedule,
     corrupt_outcome,
     gamma_search,
-    popcount,
 )
 
 schedule = GammaSchedule()

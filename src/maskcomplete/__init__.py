@@ -26,7 +26,7 @@ from .corruption import (
     corrupt_outcome,
     guarantee_trial,
 )
-from .masks import as_mask, normalize_sizes, popcount, union
+from .masks import as_mask, normalize_sizes
 from .oracle import (
     PatchCandidate,
     oracle_complete_multi,
@@ -41,8 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "as_mask",
-    "popcount",
-    "union",
     "ShapeKind",
     "generate_shape_mask",
     "GammaSchedule",

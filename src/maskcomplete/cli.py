@@ -37,7 +37,7 @@ from .corruption import (
     corrupt_outcome,
     guarantee_trial,
 )
-from .masks import as_int, normalize_sizes, popcount, union
+from .masks import as_int, normalize_sizes
 from .oracle import oracle_complete_multi
 from .pbm import PBMFormatError, atomic_write_bytes, read_pbm, write_pbm
 from .shapes import ShapeKind, generate_shape_mask
@@ -86,7 +86,7 @@ def _input_descriptor(path, mask):
         "path": str(path),
         "height": int(mask.shape[0]),
         "width": int(mask.shape[1]),
-        "popcount": popcount(mask),
+        "popcount": int(np.count_nonzero(mask)),
     }
 
 
@@ -105,8 +105,8 @@ def _cmd_complete(args):
 
     out, written = completed, report.output_popcount
     if args.union_ps:
-        out = union(observed, completed)
-        written = popcount(out)
+        out = observed | completed
+        written = int(np.count_nonzero(out))
     write_pbm(out, args.output, fmt=args.format)
 
     if args.report:
@@ -143,7 +143,7 @@ def _cmd_oracle(args):
     out = oracle_complete_multi(observed, sizes, args.gamma)
     if args.output:
         write_pbm(out, args.output, fmt=args.format)
-        print(f"wrote {args.output}: popcount {popcount(out)}")
+        print(f"wrote {args.output}: popcount {int(np.count_nonzero(out))}")
     if args.diff:
         other = read_pbm(args.diff)
         if other.shape != out.shape:
@@ -166,7 +166,8 @@ def _cmd_gen(args):
     canvas = _parse_pair(args.canvas, "canvas", "HxW or a single size")
     mask = generate_shape_mask(ShapeKind(args.kind), args.n, anchor, canvas)
     write_pbm(mask, args.output, fmt=args.format)
-    print(f"wrote {args.output}: {args.kind} n={args.n}, popcount {popcount(mask)}")
+    popcount = int(np.count_nonzero(mask))
+    print(f"wrote {args.output}: {args.kind} n={args.n}, popcount {popcount}")
     return 0
 
 
@@ -185,7 +186,7 @@ def _cmd_corrupt(args):
             hamming=outcome.hamming,
             clamped=outcome.clamped,
             output_path=str(args.output),
-            output_popcount=popcount(outcome.mask),
+            output_popcount=int(np.count_nonzero(outcome.mask)),
         )
     print(
         f"wrote {args.output}: {args.model} moved {outcome.hamming} pixels"

@@ -218,13 +218,14 @@ def _bands(mask, sizes):
     _BAND, ... up to the last corner row of the smallest size, the last
     band first: rows[i] is the mask's table row r0 + i, for every row a
     window of ``sizes`` with its corner in rows [r0, r0 + _BAND) needs,
-    and ``boxes`` maps each size with corners in the band to them, (0, n,
-    0, W - s + 1) in the rows' coordinates.  The rows live in one buffer
-    of _BAND + max(sizes) rows (fewer on a short canvas) and hold until
-    the next band.  A table row sums the mask from its row down, so the
-    bands are built upward: the rows two bands share are copied from the
-    buffer's top to just below the new rows, where they seed the new
-    rows' column pass, and each table row is built once.
+    and ``boxes`` maps each size with corners in the band to their number
+    of rows n, from the rows' first, in every col the width leaves room
+    for.  The rows live in one buffer of _BAND + max(sizes) rows (fewer on
+    a short canvas) and hold until the next band.  A table row sums the
+    mask from its row down, so the bands are built upward: the rows two
+    bands share are copied from the buffer's top to just below the new
+    rows, where they seed the new rows' column pass, and each table row is
+    built once.
     """
     if not sizes:
         return
@@ -238,11 +239,7 @@ def _bands(mask, sizes):
             buf[below - r0 : end - r0] = buf[: end - below]
         _fill(buf[: below - r0 + 1], mask[r0:below])
         below = r0
-        boxes = {
-            s: (0, min(_BAND, h - s + 1 - r0), 0, w - s + 1)
-            for s in sizes
-            if s <= h - r0
-        }
+        boxes = {s: min(_BAND, h - s + 1 - r0) for s in sizes if s <= h - r0}
         yield buf[: end - r0], r0, 0, boxes
 
 
@@ -317,19 +314,19 @@ def _union_of_covers(shape, needs, pieces, out=None):
 
     ``needs`` maps sizes to the ones a window must hold to be accepted.
     ``pieces`` yields (table, r, c, boxes): summed-area rows and columns
-    whose entry (0, 0) sits at pixel (r, c), and for each size the window
-    corners [i0, i1) × [j0, j1) to look at, in the table's coordinates.
-    A size gets one ones plane per piece, its accept flags, their count
-    and, when any flag is set, its cover; the flags are dropped once the
-    cover is built, and nothing outlives the size.  The covers are ORed
-    into ``out``, a zero plane of ``shape`` when given; otherwise a first
-    nonempty cover that spans the canvas becomes the output, and a zero
-    plane is made only when none does.
+    whose entry (0, 0) sits at pixel (r, c), and for each size the number
+    n of corner rows to look at, from the table's first, in every col the
+    table's width leaves room for.  A size gets one ones plane per piece,
+    its accept flags, their count and, when any flag is set, its cover;
+    the flags are dropped once the cover is built, and nothing outlives
+    the size.  The covers are ORed into ``out``, a zero plane of ``shape``
+    when given; otherwise a first nonempty cover that spans the canvas
+    becomes the output, and a zero plane is made only when none does.
     """
     accepted = dict.fromkeys(needs, 0)
     for table, r, c, boxes in pieces:
-        for s, (i0, i1, j0, j1) in boxes.items():
-            accept = _ones(table[i0 : i1 + s, j0 : j1 + s], s) >= needs[s]
+        for s, n in boxes.items():
+            accept = _ones(table[: n + s], s) >= needs[s]
             count = int(np.count_nonzero(accept))
             accepted[s] += count
             cover = _cover(accept, s) if count else None
@@ -342,7 +339,7 @@ def _union_of_covers(shape, needs, pieces, out=None):
             if out is None:
                 out = np.zeros(shape, np.uint8)
             h, w = cover.shape
-            part = out[r + i0 : r + i0 + h, c + j0 : c + j0 + w]
+            part = out[r : r + h, c : c + w]
             np.bitwise_or(part, cover, out=part)
             cover = None
     return (np.zeros(shape, np.uint8) if out is None else out), accepted
@@ -359,42 +356,51 @@ def _runs(counts, s, need):
 def _candidates(mask, seen, last, needs):
     """The pieces of a search's second pass: the bands where some window is accepted.
 
-    ``seen`` holds each band's first corner row, boxes and largest ones
-    count per size, from the first pass.  ``last`` is the table of a
+    ``seen`` holds each band's first corner row and its boxes and largest
+    ones counts per size, from the first pass.  ``last`` is the table of a
     canvas that is one band, used as it is, or None.  On a taller canvas
     each accepted size of a band, the last band too, gets a table of its
-    own over the box of its candidate windows: a window holding ``need``
-    ones has at least that many in its s rows and in its s cols, so the
-    box is bounded by the mask's row counts in the band and its col counts
-    in the rows the box keeps.  A window's count depends only on the mask
-    inside it, so that table is exact.
+    own over the box of its candidate windows, whose corners then fill the
+    table: a window holding ``need`` ones has at least that many in its s
+    rows and in its s cols, so the box is bounded by the mask's row counts
+    in the band and its col counts in the rows the box keeps.  A window's
+    count depends only on the mask inside it, so that table is exact.
+    Each count is summed in the smallest unsigned dtype that holds the
+    number of entries summed.
     """
     for r0, boxes, peaks in seen:
-        hit = {s: boxes[s][1] for s in needs if s in boxes and peaks[s] >= needs[s]}
+        hit = {s: boxes[s] for s in needs if s in boxes and peaks[s] >= needs[s]}
         if not hit:
             continue
         if last is not None:
-            yield last, r0, 0, {s: boxes[s] for s in hit}
+            yield last, r0, 0, hit
             continue
         slab = mask[r0 : r0 + max(n + s - 1 for s, n in hit.items())]
-        rows = np.count_nonzero(slab, axis=1)
+        rows = slab.sum(axis=1, dtype=np.min_scalar_type(slab.shape[1]))
         for s, n in hit.items():
             i0, i1 = _runs(rows[: n + s - 1], s, needs[s])
             strip = slab[i0 : i1 + s - 1]
-            j0, j1 = _runs(np.count_nonzero(strip, axis=0), s, needs[s])
+            cols = strip.sum(axis=0, dtype=np.min_scalar_type(len(strip)))
+            j0, j1 = _runs(cols, s, needs[s])
             table = _summed_area(strip[:, j0 : j1 + s - 1], s)
-            yield table, r0 + i0, j0, {s: (0, i1 - i0, 0, j1 - j0)}
+            yield table, r0 + i0, j0, {s: i1 - i0}
             table = None
 
 
-def _union_at(mask, needs):
+def _union_at(mask, sizes, gamma):
     """:func:`_union_of_covers` at a known threshold, in one banded pass.
 
-    Each size's accept flags come from the ones plane its band already
-    has.  A canvas of several bands gets its zero output plane before the
-    first band, so every band's ones plane and flags are built beside it
-    and the peak does not depend on which bands accept a window.
+    The sizes of ``sizes`` that fit the mask need the ones the cutoff
+    floor(gamma * s**2) leaves them; the others take no pass.  Each size's
+    accept flags come from the ones plane its band already has.  A canvas
+    of several bands gets its zero output plane before the first band, so
+    every band's ones plane and flags are built beside it and the peak
+    does not depend on which bands accept a window.
     """
+    total = int(np.count_nonzero(mask))
+    needs = {
+        s: _need(s, total, int(gamma * (s * s))) for s in sizes if s <= min(mask.shape)
+    }
     out = None
     if needs and mask.shape[0] - min(needs) + 1 > _BAND:
         out = np.zeros(mask.shape, np.uint8)
@@ -421,10 +427,7 @@ def complete_single_size(observed, size, gamma) -> np.ndarray:
         window.  A size larger than the image yields the all-zero mask.
     """
     mask, s, g = as_mask(observed), as_int(size, "patch size", 1), as_gamma(gamma)
-    if s > min(mask.shape):
-        return np.zeros(mask.shape, dtype=np.uint8)
-    needs = {s: _need(s, int(np.count_nonzero(mask)), int(g * (s * s)))}
-    return _union_at(mask, needs)[0]
+    return _union_at(mask, (s,), g)[0]
 
 
 def _report(mask, sizes, union, step, gamma):
@@ -460,11 +463,7 @@ def complete_fixed_gamma(observed, sizes, gamma):
     (ndarray, CompletionReport)
     """
     mask, sizes, g = as_mask(observed), normalize_sizes(sizes), as_gamma(gamma)
-    total = int(np.count_nonzero(mask))
-    needs = {
-        s: _need(s, total, int(g * (s * s))) for s in sizes if s <= min(mask.shape)
-    }
-    return _report(mask, sizes, _union_at(mask, needs), 1, g)
+    return _report(mask, sizes, _union_at(mask, sizes, g), 1, g)
 
 
 def gamma_search(observed, sizes, schedule=GammaSchedule()):
@@ -495,9 +494,7 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     # One ones plane alive at a time: only each band's maximum is kept.
     seen, rows = [], None
     for rows, r0, _, boxes in _bands(mask, fitting):
-        peaks = {
-            s: int(_ones(rows[: n + s], s).max()) for s, (_, n, _, _) in boxes.items()
-        }
+        peaks = {s: int(_ones(rows[: n + s], s).max()) for s, n in boxes.items()}
         seen.append((r0, boxes, peaks))
     # A taller canvas lets its band buffer go, so the second pass holds the
     # output beside box tables alone, wherever the accepted windows lie.

@@ -1,17 +1,14 @@
-"""Binary mask primitives and the package's input readers.
+"""The package's input readers.
 
 All masks are 2-D numpy arrays with values in {0, 1} (dtype uint8 by
-convention).  Every count in this module is computed in plain
-integer arithmetic; no floating point is involved anywhere.
-
-The readers here decide the form every argument must take, and no other
-module reads one itself: :func:`as_mask` for every mask, :func:`as_int` for
-every integer argument (patch and shape sizes, steps, counts, budgets and
-seeds), :func:`as_pair` for canvases and anchors, :func:`normalize_sizes`
-for size sets and :func:`as_gamma` for every threshold.  The engine and the
-oracle read through the same ones, mask first, then size(s), then gamma.
-An integer argument is never truncated: a bool, a float, a str or a
-Fraction raises TypeError.
+convention).  The readers here decide the form every argument must take,
+and no other module reads one itself: :func:`as_mask` for every mask,
+:func:`as_int` for every integer argument (patch and shape sizes, steps,
+counts, budgets and seeds), :func:`as_pair` for canvases and anchors,
+:func:`normalize_sizes` for size sets and :func:`as_gamma` for every
+threshold.  The engine and the oracle read through the same ones, mask
+first, then size(s), then gamma.  An integer argument is never truncated:
+a bool, a float, a str or a Fraction raises TypeError.
 """
 
 import math
@@ -26,8 +23,6 @@ __all__ = [
     "as_pair",
     "normalize_sizes",
     "as_gamma",
-    "popcount",
-    "union",
 ]
 
 
@@ -128,17 +123,3 @@ def as_gamma(gamma) -> Fraction:
     if not 0 <= g < 1:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     return g
-
-
-def popcount(mask) -> int:
-    """Number of 1-bits in the mask."""
-    return int(np.count_nonzero(as_mask(mask)))
-
-
-def union(a, b) -> np.ndarray:
-    """Element-wise OR of two equal-size masks."""
-    a = as_mask(a)
-    b = as_mask(b)
-    if a.shape != b.shape:
-        raise ValueError(f"mask dimensions differ: {a.shape} vs {b.shape}")
-    return a | b

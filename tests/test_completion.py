@@ -5,6 +5,7 @@ module; arithmetic expectations are worked out by hand in the asserts.
 """
 
 import ast
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -29,10 +30,11 @@ from maskcomplete import (
     oracle_complete_multi,
     oracle_complete_single,
     oracle_min_distance,
-    popcount,
-    union,
+    read_pbm,
+    write_pbm,
 )
 from maskcomplete import completion
+from maskcomplete.cli import main as cli_main
 from maskcomplete.completion import _cover, _ones, _summed_area
 
 
@@ -243,8 +245,8 @@ class TestCandidateField:
             mask = random_mask(rng, H, W, density=float(rng.random()))
             s = int(rng.integers(1, min(H, W) + 1))
             ones, dist = _ones(_summed_area(mask, s), s), window_distances(mask, s)
-            for cutoff in range(s * s + popcount(mask) + 2):
-                need = completion._need(s, popcount(mask), cutoff)
+            for cutoff in range(s * s + np.count_nonzero(mask) + 2):
+                need = completion._need(s, np.count_nonzero(mask), cutoff)
                 assert 0 <= need <= s * s + 1
                 assert np.array_equal(ones >= need, dist <= cutoff)
 
@@ -430,7 +432,7 @@ class TestGammaSearch:
         assert report.attack_found
         assert report.iterations_run == 1
         assert report.gamma_used == 0.1
-        assert popcount(out) == size * size
+        assert np.count_nonzero(out) == size * size
         assert report.output_popcount == size * size
 
     def test_stops_at_first_step_with_nonzero_oracle(self, rng):
@@ -614,7 +616,7 @@ class TestCompleteFixedGamma:
         assert np.array_equal(out, oracle_complete_multi(mask, [4, 6], 0.4))
         assert report.iterations_run == 1
         assert report.attack_found == bool(out.any())
-        assert report.output_popcount == popcount(out)
+        assert report.output_popcount == np.count_nonzero(out)
 
     def test_empty_result_has_no_gamma(self):
         out, report = complete_fixed_gamma(
@@ -685,30 +687,57 @@ class TestMonotonicityAndSymmetry:
 
 
 class TestFinalAndApply:
-    """The final mask is the union of the observation and its completion."""
+    """The final mask is the observation ORed with its completion.
+
+    ``complete --union-ps`` writes ``observed | completed`` with no shape
+    check, so every entry point must return the observation's shape.
+    """
 
     def test_final_mask_with_empty_completion(self, rng):
         observed = random_mask(rng, 9, 9, density=0.2)
-        empty = np.zeros_like(observed)
-        assert np.array_equal(union(observed, empty), observed)
+        completed = complete_single_size(observed, 10, 0.5)  # no 10×10 fits
+        assert completed.dtype == np.uint8 and not completed.any()
+        assert np.array_equal(observed | completed, observed)
 
-    def test_final_mask_superset_case(self, rng):
+    def test_final_mask_superset_case(self):
+        # A 6×6 window holding the 3×3 block lies 36 + 9 - 2 * 9 = 27 from
+        # it, exactly the cutoff at 3/4; one that cuts the block lies further.
         observed = np.zeros((12, 12), dtype=np.uint8)
         observed[4:7, 4:7] = 1
-        completed = np.zeros_like(observed)
-        completed[3:9, 3:9] = 1
-        assert np.array_equal(union(observed, completed), completed)
+        completed = complete_single_size(observed, 6, Fraction(3, 4))
+        expected = np.zeros_like(observed)
+        expected[1:10, 1:10] = 1
+        assert np.array_equal(completed, expected)
+        assert np.array_equal(observed | completed, completed)
 
-    def test_final_mask_inclusion_exclusion(self):
+    def test_final_mask_inclusion_exclusion(self, tmp_path):
         circle = generate_shape_mask("circle", 12, (2, 2), (40, 40))
         square = generate_shape_mask("square", 10, (10, 10), (40, 40))
-        out = union(circle, square)
-        overlap = popcount(circle & square)
-        assert popcount(out) == popcount(circle) + popcount(square) - overlap
+        observed = circle | square
+        path, out, rep = tmp_path / "in.pbm", tmp_path / "out.pbm", tmp_path / "r.json"
+        write_pbm(observed, path)
+        argv = ["complete", path, "-o", out, "--sizes", "10,12", "--union-ps"]
+        argv += ["--report", rep]
+        assert cli_main([str(a) for a in argv]) == 0
+        completed, _ = gamma_search(observed, (10, 12))
+        assert np.array_equal(read_pbm(out), observed | completed)
+        overlap = np.count_nonzero(observed & completed)
+        assert json.loads(rep.read_text())["written_popcount"] == (
+            np.count_nonzero(observed) + np.count_nonzero(completed) - overlap
+        )
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            union(np.zeros((2, 2), np.uint8), np.zeros((3, 3), np.uint8))
+    def test_dimension_mismatch(self, rng):
+        # Canvases of one band and of several, with a size past each side.
+        for H, W in ((7, 13), (13, 7), (300, 9)):
+            mask = random_mask(rng, H, W, density=0.3)
+            sizes = (2, 5, 8, 14)
+            outs = [
+                gamma_search(mask, sizes)[0],
+                complete_fixed_gamma(mask, sizes, 0.4)[0],
+                *(complete_single_size(mask, s, 0.4) for s in sizes),
+            ]
+            for out in outs:
+                assert out.dtype == np.uint8 and out.shape == mask.shape
 
 
 class TestReportInvariants:
@@ -720,7 +749,7 @@ class TestReportInvariants:
             sizes = [int(s) for s in sorted(rng.choice(np.arange(2, 9), 2, replace=False))]
             out, report = gamma_search(mask, sizes)
             assert report.attack_found == (report.output_popcount > 0)
-            assert report.output_popcount == popcount(out)
+            assert report.output_popcount == np.count_nonzero(out)
             assert (report.gamma_used is not None) == report.attack_found
 
 
@@ -788,6 +817,8 @@ class TestPassCounts:
         out, report = complete_fixed_gamma(mask, (64, 100), 0.5)
         assert not out.any() and out.shape == mask.shape
         assert report == CompletionReport(False, None, 1, **none)
+        out = complete_single_size(mask, 64, 0.5)
+        assert out.dtype == np.uint8 and out.shape == mask.shape and not out.any()
         assert passes == {"fills": [], "tables": [], "sizes": []}
 
     def test_bands_build_each_table_row_once(self, passes, monkeypatch):
@@ -881,6 +912,31 @@ class TestBands:
                 partial += any((H - s + 1) % band for s in sizes if s <= H)
         assert boxes, "no second pass ran on a band that was not the last"
         assert partial
+
+    @pytest.mark.parametrize("line", ["row", "col"])
+    def test_lines_holding_more_ones_than_a_byte_counts(self, monkeypatch, line):
+        # Full lines of over 255 ones run through a patch, and a window one
+        # line over holds as many ones as the patch.  A second pass that
+        # counted them in uint8 would read each as a few ones and lose the
+        # windows a one-band run accepts.  Cols reach past 255 only in a
+        # strip that tall, so that patch is 260 wide.
+        if line == "row":
+            mask, s, band = np.zeros((120, 256), dtype=np.uint8), 40, 8
+            mask[40:80, 100:140] = 1
+            mask[[50, 80]] = 1
+        else:
+            mask, s, band = np.zeros((600, 300), dtype=np.uint8), 260, 256
+            mask[100:360, 20:280] = 1
+            mask[:, 280] = 1
+        gamma, schedule = Fraction(3, 10), GammaSchedule()
+        monkeypatch.setattr(completion, "_BAND", 1000)
+        want = self.runs(mask, (s,), gamma, schedule)
+        assert want[0][1].attack_found
+        monkeypatch.setattr(completion, "_BAND", band)
+        got = self.runs(mask, (s,), gamma, schedule)
+        for (a, ra), (b, rb) in zip(got[:2], want[:2]):
+            assert np.array_equal(a, b) and ra == rb
+        assert np.array_equal(got[2][0], want[2][0])
 
 
 class _CallSites(ast.NodeVisitor):

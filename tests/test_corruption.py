@@ -12,7 +12,6 @@ from maskcomplete import (
     distance_cutoff,
     generate_shape_mask,
     guarantee_trial,
-    popcount,
 )
 import maskcomplete.corruption as corruption
 
@@ -64,7 +63,7 @@ class TestUniformFlip:
         empty = np.zeros((10, 10), dtype=np.uint8)
         model = CorruptionModel(CorruptionKind.UNIFORM_FLIP, 5, seed=4)
         out = corrupt_outcome(empty, model).mask
-        assert popcount(out) == 5
+        assert np.count_nonzero(out) == 5
 
 
 class TestErodeBoundary:
@@ -75,7 +74,7 @@ class TestErodeBoundary:
             gt, CorruptionModel(CorruptionKind.ERODE_BOUNDARY, budget, seed=9)
         )
         assert not (outcome.mask & ~gt).any()  # subset of the input
-        assert popcount(gt) - popcount(outcome.mask) == budget
+        assert np.count_nonzero(gt) - np.count_nonzero(outcome.mask) == budget
         assert outcome.hamming == budget
 
     def test_clamps_when_patch_exhausted(self):
@@ -103,7 +102,7 @@ class TestDilateOutside:
             gt, CorruptionModel(CorruptionKind.DILATE_OUTSIDE, budget, seed=9)
         )
         assert not (gt & ~outcome.mask).any()  # superset of the input
-        assert popcount(outcome.mask) - popcount(gt) == budget
+        assert np.count_nonzero(outcome.mask) - np.count_nonzero(gt) == budget
         assert outcome.hamming == budget
 
     def test_added_pixels_touch_the_patch_for_small_budgets(self):
@@ -146,8 +145,8 @@ class TestSplitHole:
         removed = gt & ~outcome.mask
         rows = np.flatnonzero(removed.any(axis=1))
         cols = np.flatnonzero(removed.any(axis=0))
-        assert popcount(removed) == len(rows) * len(cols)
-        assert outcome.hamming == popcount(removed)
+        assert np.count_nonzero(removed) == len(rows) * len(cols)
+        assert outcome.hamming == np.count_nonzero(removed)
 
     def test_thin_patch_clamps(self):
         # a 2-pixel-tall patch has no interior at all
