@@ -8,13 +8,8 @@ the later (and looser) the stop.
 
 import numpy as np
 
-from maskcomplete import (
-    CorruptionKind,
-    CorruptionModel,
-    GammaSchedule,
-    corrupt_outcome,
-    gamma_search,
-)
+from maskcomplete import GammaSchedule, gamma_search
+from maskcomplete.corruption import CorruptionKind, CorruptionModel, corrupt_outcome
 
 schedule = GammaSchedule()
 print("schedule:", ", ".join(f"g{t}={float(schedule.gamma(t)):.4f}" for t in (1, 2, 3, 4, 15)))

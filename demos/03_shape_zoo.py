@@ -7,7 +7,7 @@ the curved/angled kinds land within a fraction of a percent.
 
 import numpy as np
 
-from maskcomplete import ShapeKind, generate_shape_mask
+from maskcomplete.shapes import ShapeKind, generate_shape_mask
 
 
 def show(mask):

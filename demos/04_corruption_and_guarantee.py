@@ -9,11 +9,11 @@ hammers on.
 
 import numpy as np
 
-from maskcomplete import (
+from maskcomplete import distance_cutoff
+from maskcomplete.corruption import (
     CorruptionKind,
     CorruptionModel,
     corrupt_outcome,
-    distance_cutoff,
     guarantee_trial,
 )
 

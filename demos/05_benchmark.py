@@ -7,7 +7,7 @@ its runtime climbs with s**2.  Full-size numbers come from
 ``maskcomplete bench``; this uses smaller canvases to finish quickly.
 """
 
-from maskcomplete import run_benchmark
+from maskcomplete.bench import run_benchmark
 
 report = run_benchmark(canvases=(128, 256), sizes=(8, 16, 32), repeats=3)
 

@@ -41,13 +41,14 @@ each window does not depend on gamma, so a search over several
 thresholds first needs only each size's minimum distance d, from its
 largest ones count per band: the first threshold at or above the
 smallest d / s**2 is the first with a nonempty completion.  Only the
-bands whose largest count reaches what an accepted size needs get a
-second pass.  On a canvas that is one band it reuses the table; on a
-taller one the band buffer is let go first, and every such band gets a
+bands whose largest count reaches what a size needs at that threshold
+get a second pass.  On a canvas that is one band it reuses the table; on
+a taller one the band buffer is let go first, and every such band gets a
 small table over the box of its candidate windows, bounded by the mask's
-row and column counts there.  A known threshold on a taller canvas makes
-its output plane before the first band.  Either way a call's peak does
-not depend on which bands accept a window.  The geometric schedule is
+row and column counts there.  A taller canvas makes its output plane
+once: before the first band at a known threshold, and as the band
+buffer goes in a search.  Either way a call's peak does not depend on
+which bands accept a window.  The geometric schedule is
 inverted for that ratio in closed form, so finding the step costs one
 exact threshold, not a walk over the steps before it.
 """
@@ -264,11 +265,11 @@ def _need(s, total, cutoff) -> int:
     """Fewest ones an s×s window needs to lie within ``cutoff`` of the mask.
 
     With ``total`` ones in the mask, s² + total - 2 * ones <= cutoff iff
-    ones >= ceil((s² + total - cutoff) / 2).  The bound is clamped to
-    [0, s² + 1], which the table's dtype holds, so it compares in that dtype.
-    A cutoff below s², which every gamma below 1 gives, needs at least 1.
+    ones >= ceil((s² + total - cutoff) / 2).  A cutoff below s², which
+    every gamma below 1 gives, needs at least 1; the bound is clamped to
+    s² + 1, which the table's dtype holds, so it compares in that dtype.
     """
-    return min(max(0, (s * s + total - cutoff + 1) // 2), s * s + 1)
+    return min((s * s + total - cutoff + 1) // 2, s * s + 1)
 
 
 def _running_or(flat, s, step):
@@ -309,7 +310,7 @@ def _cover(accept, s) -> np.ndarray:
     return plane.view(np.uint8)
 
 
-def _union_of_covers(shape, needs, pieces, out=None):
+def _union_of_covers(shape, needs, pieces, out):
     """Union of the covers of the windows holding ``needs`` ones, and their counts.
 
     ``needs`` maps sizes to the ones a window must hold to be accepted.
@@ -319,9 +320,10 @@ def _union_of_covers(shape, needs, pieces, out=None):
     table's width leaves room for.  A size gets one ones plane per piece,
     its accept flags, their count and, when any flag is set, its cover;
     the flags are dropped once the cover is built, and nothing outlives
-    the size.  The covers are ORed into ``out``, a zero plane of ``shape``
-    when given; otherwise a first nonempty cover that spans the canvas
-    becomes the output, and a zero plane is made only when none does.
+    the size.  On a canvas of several bands ``out`` is a zero plane of
+    ``shape`` and every cover is ORed into it.  On a canvas of one band it
+    is None: every cover then spans the canvas, the first nonempty one
+    becomes the output, and a zero plane is made only when all are empty.
     """
     accepted = dict.fromkeys(needs, 0)
     for table, r, c, boxes in pieces:
@@ -333,11 +335,9 @@ def _union_of_covers(shape, needs, pieces, out=None):
             accept = None
             if cover is None:
                 continue
-            if out is None and cover.shape == shape:
+            if out is None:
                 out = cover
                 continue
-            if out is None:
-                out = np.zeros(shape, np.uint8)
             h, w = cover.shape
             part = out[r : r + h, c : c + w]
             np.bitwise_or(part, cover, out=part)
@@ -496,14 +496,22 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     for rows, r0, _, boxes in _bands(mask, fitting):
         peaks = {s: int(_ones(rows[: n + s], s).max()) for s, n in boxes.items()}
         seen.append((r0, boxes, peaks))
-    # A taller canvas lets its band buffer go, so the second pass holds the
-    # output beside box tables alone, wherever the accepted windows lie.
+    # A taller canvas lets its band buffer go before it makes the output
+    # plane, so the second pass holds the output beside box tables alone,
+    # wherever the accepted windows lie.
     last, rows = (rows if len(seen) == 1 else None), None
+    out = None if last is not None else np.zeros(mask.shape, np.uint8)
     best = {s: max(p[s] for _, _, p in seen if s in p) for s in fitting}
-    d_min = {s: s * s + total - 2 * ones for s, ones in best.items()}
-    rho = min((Fraction(d, s * s) for s, d in d_min.items()), default=Fraction(1))
+    rho = min(
+        (Fraction(s * s + total - 2 * ones, s * s) for s, ones in best.items()),
+        default=Fraction(1),
+    )
     step, gamma = schedule._first_step(rho)
-    cutoffs = {} if gamma is None else {s: int(gamma * (s * s)) for s in d_min}
-    needs = {s: _need(s, total, c) for s, c in cutoffs.items() if d_min[s] <= c}
-    union = _union_of_covers(mask.shape, needs, _candidates(mask, seen, last, needs))
+    # A size whose best window lies past the cutoff holds fewer ones than it
+    # needs in every band, so _candidates' per-band test drops it.
+    needs = {}
+    if gamma is not None:
+        needs = {s: _need(s, total, int(gamma * (s * s))) for s in best}
+    pieces = _candidates(mask, seen, last, needs)
+    union = _union_of_covers(mask.shape, needs, pieces, out)
     return _report(mask, sizes, union, step, gamma)

@@ -129,11 +129,11 @@ def _split_hole(mask, budget, rng):
     if budget == 0 or int_h < 1 or int_w < 1:
         return mask.copy(), 0, budget > 0
 
-    want_h = max(1, math.isqrt(budget))
-    want_w = max(1, budget // want_h)
+    want_h = math.isqrt(budget)
+    want_w = budget // want_h
     hole_h = min(want_h, int_h)
     # after clamping the height, let the width regrow into the leftover budget
-    hole_w = min(max(want_w, budget // hole_h), int_w)
+    hole_w = min(budget // hole_h, int_w)
     clamped = hole_h * hole_w < want_h * want_w
 
     top = int(rng.integers(r0 + 1, r1 - hole_h + 1))

@@ -13,6 +13,7 @@ reported), and each digit's low bit is its pixel; a P4 raster is unpacked
 to exactly W columns.  Both return a C-contiguous uint8 array.
 """
 
+import contextlib
 import os
 import re
 import tempfile
@@ -116,19 +117,23 @@ def decode_pbm(data: bytes) -> np.ndarray:
 
 
 def atomic_write_bytes(path, data: bytes):
-    """Write bytes to ``path`` via a temp file + rename in the same dir."""
+    """Write bytes to ``path`` via a temp file + rename in the same dir.
+
+    A failed write leaves no temp file, and its OSError names ``path``.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def read_pbm(path) -> np.ndarray:

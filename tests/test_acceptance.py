@@ -18,23 +18,25 @@ import numpy as np
 
 from conftest import planted_patch, random_mask
 from maskcomplete import (
-    CorruptionKind,
-    CorruptionModel,
     GammaSchedule,
     complete_fixed_gamma,
     complete_single_size,
-    corrupt_outcome,
     decode_pbm,
     distance_cutoff,
     encode_pbm,
     gamma_search,
-    generate_shape_mask,
-    guarantee_trial,
-    oracle_complete_single,
     read_pbm,
-    run_benchmark,
     write_pbm,
 )
+from maskcomplete.bench import run_benchmark
+from maskcomplete.corruption import (
+    CorruptionKind,
+    CorruptionModel,
+    corrupt_outcome,
+    guarantee_trial,
+)
+from maskcomplete.oracle import oracle_complete_single
+from maskcomplete.shapes import generate_shape_mask
 from maskcomplete.cli import main as cli_main
 
 

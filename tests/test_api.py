@@ -1,7 +1,11 @@
-"""The public surface: the names the package root exports, and that every
-name a module's ``__all__`` lists is one it defines."""
+"""The public surface: the names the package root exports, that importing
+the root loads no tooling module, and that every name a module's
+``__all__`` lists is one it defines."""
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,33 +13,17 @@ import maskcomplete
 
 PUBLIC = [
     "__version__",
-    "as_mask",
-    "ShapeKind",
-    "generate_shape_mask",
     "GammaSchedule",
     "CompletionReport",
-    "normalize_sizes",
     "distance_cutoff",
     "complete_single_size",
     "complete_fixed_gamma",
     "gamma_search",
-    "PatchCandidate",
-    "oracle_complete_single",
-    "oracle_complete_multi",
-    "oracle_min_distance",
-    "DEFAULT_SEED",
-    "CorruptionKind",
-    "CorruptionModel",
-    "CorruptionOutcome",
-    "TrialRecord",
-    "corrupt_outcome",
-    "guarantee_trial",
     "PBMFormatError",
     "encode_pbm",
     "decode_pbm",
     "read_pbm",
     "write_pbm",
-    "run_benchmark",
 ]
 
 # Every module but __main__, which runs the CLI when imported.
@@ -46,6 +34,18 @@ MODULES = (
 
 def test_package_exports_exactly_the_public_calls():
     assert maskcomplete.__all__ == PUBLIC
+
+
+def test_root_import_loads_no_tooling_module():
+    # A fresh interpreter, so no other test's imports are in sys.modules.
+    src = str(Path(maskcomplete.__file__).resolve().parents[1])
+    tooling = [f"maskcomplete.{m}" for m in ("bench", "oracle", "corruption", "shapes")]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import maskcomplete; "
+        f"print([m for m in {tooling!r} if m in sys.modules])"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
 
 
 @pytest.mark.parametrize("name", ("",) + MODULES)

@@ -6,7 +6,9 @@ the documented contract: 0 success, 1 verification mismatch, 2 usage
 error, 3 I/O error.
 """
 
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -15,16 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maskcomplete import (
-    CorruptionKind,
-    CorruptionModel,
-    GammaSchedule,
-    corrupt_outcome,
-    gamma_search,
-    generate_shape_mask,
-    read_pbm,
-    write_pbm,
-)
+from maskcomplete import GammaSchedule, gamma_search, read_pbm, write_pbm
+from maskcomplete.corruption import CorruptionKind, CorruptionModel, corrupt_outcome
+from maskcomplete.shapes import generate_shape_mask
 import maskcomplete.cli as cli
 from maskcomplete.cli import main
 
@@ -324,7 +319,7 @@ class TestOracle:
         assert run_cli(
             "oracle", path, "--sizes", "16", "--gamma", "0.37", "-o", out
         ) == 0
-        from maskcomplete import oracle_complete_multi
+        from maskcomplete.oracle import oracle_complete_multi
 
         assert np.array_equal(read_pbm(out), oracle_complete_multi(observed, (16,), 0.37))
 
@@ -536,6 +531,28 @@ class TestErrorHandling:
             "complete", tmp_path / "nope.pbm", "-o", tmp_path / "o.pbm", "--sizes", "8"
         )
         assert code == 3
+
+    @pytest.mark.parametrize("flag", ["-o", "--report"])
+    @pytest.mark.parametrize(
+        "target,err",
+        [("missing/o", errno.ENOENT), ("dir", errno.EISDIR)],
+        ids=["missing-dir", "is-dir"],
+    )
+    def test_unwritable_output_names_the_requested_path(
+        self, tmp_path, corrupted_fixture, capsys, flag, target, err
+    ):
+        path, _ = corrupted_fixture
+        (tmp_path / "dir").mkdir()
+        dest = {"-o": tmp_path / "o.pbm", "--report": tmp_path / "r.json"}
+        dest[flag] = tmp_path / target
+        code = run_cli(
+            "complete", path, "-o", dest["-o"], "--report", dest["--report"],
+            "--sizes", "8",
+        )
+        assert code == 3
+        message = f"[Errno {err}] {os.strerror(err)}: '{tmp_path / target}'"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.glob(".tmp-*")) == []
 
     def test_corrupt_pbm_is_io_error(self, tmp_path):
         bad = tmp_path / "bad.pbm"

@@ -25,17 +25,19 @@ from maskcomplete import (
     complete_single_size,
     distance_cutoff,
     gamma_search,
-    generate_shape_mask,
-    normalize_sizes,
-    oracle_complete_multi,
-    oracle_complete_single,
-    oracle_min_distance,
     read_pbm,
     write_pbm,
 )
 from maskcomplete import completion
 from maskcomplete.cli import main as cli_main
 from maskcomplete.completion import _cover, _ones, _summed_area
+from maskcomplete.masks import normalize_sizes
+from maskcomplete.oracle import (
+    oracle_complete_multi,
+    oracle_complete_single,
+    oracle_min_distance,
+)
+from maskcomplete.shapes import generate_shape_mask
 
 
 class TestDistanceCutoff:

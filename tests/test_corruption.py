@@ -5,14 +5,14 @@ the per-trial guarantee harness.
 import numpy as np
 import pytest
 
-from maskcomplete import (
+from maskcomplete import distance_cutoff
+from maskcomplete.corruption import (
     CorruptionKind,
     CorruptionModel,
     corrupt_outcome,
-    distance_cutoff,
-    generate_shape_mask,
     guarantee_trial,
 )
+from maskcomplete.shapes import generate_shape_mask
 import maskcomplete.corruption as corruption
 
 ALL_KINDS = list(CorruptionKind)

@@ -31,23 +31,27 @@ import pytest
 
 from conftest import edit_bytes
 from maskcomplete import (
-    CorruptionKind,
-    CorruptionModel,
     GammaSchedule,
     complete_fixed_gamma,
     complete_single_size,
-    corrupt_outcome,
     decode_pbm,
     distance_cutoff,
     encode_pbm,
     gamma_search,
-    generate_shape_mask,
+)
+from maskcomplete.corruption import (
+    CorruptionKind,
+    CorruptionModel,
+    corrupt_outcome,
     guarantee_trial,
-    normalize_sizes,
+)
+from maskcomplete.masks import normalize_sizes
+from maskcomplete.oracle import (
     oracle_complete_multi,
     oracle_complete_single,
     oracle_min_distance,
 )
+from maskcomplete.shapes import generate_shape_mask
 from maskcomplete.cli import main
 
 DIGESTS = {

@@ -22,21 +22,21 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_mask, window_distances
 import maskcomplete
 from maskcomplete import (
-    CorruptionModel,
     GammaSchedule,
-    as_mask,
     complete_fixed_gamma,
     complete_single_size,
     distance_cutoff,
     gamma_search,
-    generate_shape_mask,
-    guarantee_trial,
-    normalize_sizes,
+)
+from maskcomplete.bench import run_benchmark
+from maskcomplete.corruption import CorruptionModel, guarantee_trial
+from maskcomplete.masks import as_mask, normalize_sizes
+from maskcomplete.oracle import (
     oracle_complete_multi,
     oracle_complete_single,
     oracle_min_distance,
-    run_benchmark,
 )
+from maskcomplete.shapes import generate_shape_mask
 from maskcomplete.completion import _fill, _ones, _summed_area, _zero_table
 
 small_masks = arrays(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import planted_patch, random_mask
-from maskcomplete import (
+from maskcomplete.oracle import (
     PatchCandidate,
     oracle_complete_multi,
     oracle_complete_single,

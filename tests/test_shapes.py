@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import component_count
-from maskcomplete import ShapeKind, generate_shape_mask
+from maskcomplete.shapes import ShapeKind, generate_shape_mask
 
 ALL_KINDS = list(ShapeKind)
 APPROX_KINDS = [
