@@ -3,9 +3,9 @@
 The engine's runtime should track image area and stay flat across patch
 sizes; the oracle's should grow with s**2.  Each timed call completes one
 centered square, drawn by :func:`~maskcomplete.shapes.generate_shape_mask`.
-The patch sizes of a canvas run round-robin and each keeps its fastest of a
-few repetitions, so a host slowdown moves every size alike and the ratios
-stay stable enough to assert.
+One timing loop, :func:`_time_configs`, times the engine and the oracle
+alike, and each configuration keeps its fastest call, so the ratios stay
+stable enough to assert.
 """
 
 import functools
@@ -18,38 +18,23 @@ from .masks import as_int, normalize_sizes
 from .oracle import oracle_complete_single
 from .shapes import generate_shape_mask
 
-__all__ = ["BENCH_GAMMA", "time_round_robin", "run_benchmark"]
+__all__ = ["BENCH_GAMMA", "run_benchmark"]
 
 # Threshold used for all timed runs.  Any value works for timing purposes;
 # a moderate one keeps the accepted-candidate plane non-trivial.
 BENCH_GAMMA = 0.25
 
 
-def time_round_robin(fns, repeats: int, warmup: bool = True) -> list:
-    """Minimum wall-time of each callable in seconds over ``repeats`` rounds.
-
-    Each round times every callable once, in turn, so a slowdown of the
-    host that lasts a while hits all of them alike rather than whichever
-    one happened to be running.
-    """
-    if warmup:
-        for fn in fns:
-            fn()
-    best = [math.inf] * len(fns)
-    for _ in range(repeats):
-        for k, fn in enumerate(fns):
-            start = time.perf_counter()
-            fn()
-            best[k] = min(best[k], time.perf_counter() - start)
-    return best
-
-
 def _time_configs(complete, canvases, sizes, repeats, warmup=True):
     """Per-canvas, per-size minimum seconds of ``complete(mask, size, gamma)``.
 
-    Sizes run round-robin within a canvas, and the canvases one after the
-    other: a call's speed depends on how much memory the call before it
-    left mapped, so mixing canvases in a round would bias the size spread.
+    Within a canvas the sizes run round-robin: after a warm-up round,
+    unless ``warmup`` is false, each of ``repeats`` rounds times every size
+    once, in turn, so a slowdown of the host that lasts a while hits all of
+    them alike rather than whichever one happened to be running.  The
+    canvases run one after the other: a call's speed depends on how much
+    memory the call before it left mapped, so mixing canvases in a round
+    would bias the size spread.
     """
     seconds = {}
     for canvas in canvases:
@@ -61,8 +46,16 @@ def _time_configs(complete, canvases, sizes, repeats, warmup=True):
             )
             for s in fitting
         ]
-        times = time_round_robin(fns, repeats, warmup)
-        seconds[str(canvas)] = {str(s): t for s, t in zip(fitting, times)}
+        if warmup:
+            for fn in fns:
+                fn()
+        best = [math.inf] * len(fns)
+        for _ in range(repeats):
+            for k, fn in enumerate(fns):
+                start = time.perf_counter()
+                fn()
+                best[k] = min(best[k], time.perf_counter() - start)
+        seconds[str(canvas)] = {str(s): t for s, t in zip(fitting, best)}
     return seconds
 
 
@@ -80,8 +73,7 @@ def run_benchmark(
     largest canvas, and the oracle's growth from the smallest to the
     largest patch size.  The spread is taken where the candidate grid's
     border effect, and the timing noise relative to the work, are
-    smallest.  The sizes of a canvas run round-robin, one call each per
-    round.  The oracle is timed once, on the smallest canvas only (it is
+    smallest.  The oracle is timed once, on the smallest canvas only (it is
     slow by design) and without warmup, since the interpreted path has no
     caches to prime.
     """

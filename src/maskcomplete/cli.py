@@ -94,12 +94,12 @@ def _cmd_complete(args):
     start = time.perf_counter()
     observed = read_pbm(args.input)
     sizes = _parse_sizes(args.sizes)
+    schedule = GammaSchedule(alpha=args.alpha, beta=args.beta, t_max=args.t_max)
 
     if args.fixed_gamma is not None:
         completed, report = complete_fixed_gamma(observed, sizes, args.fixed_gamma)
         params = {"fixed_gamma": args.fixed_gamma}
     else:
-        schedule = GammaSchedule(alpha=args.alpha, beta=args.beta, t_max=args.t_max)
         completed, report = gamma_search(observed, sizes, schedule)
         params = asdict(schedule)
 

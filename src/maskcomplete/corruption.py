@@ -58,7 +58,6 @@ class CorruptionOutcome:
     mask: np.ndarray
     hamming: int
     clamped: bool
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -166,9 +165,7 @@ def corrupt_outcome(gt_mask, model) -> CorruptionOutcome:
         raise ValueError(f"{model.kind.value} requires a nonzero ground-truth mask")
     rng = np.random.default_rng(model.seed)
     out, hamming, clamped = _APPLY[model.kind](mask, model.budget, rng)
-    return CorruptionOutcome(
-        mask=out, hamming=int(hamming), clamped=bool(clamped), seed=model.seed
-    )
+    return CorruptionOutcome(mask=out, hamming=int(hamming), clamped=bool(clamped))
 
 
 def guarantee_trial(s, canvas, gamma, model) -> TrialRecord:

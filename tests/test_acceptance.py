@@ -209,7 +209,9 @@ def test_criterion_4_monotonicity_and_symmetry(capfd):
 
 def test_criterion_5_scaling_contract(capfd):
     start = time.perf_counter()
-    report = run_benchmark(canvases=(512, 1024), sizes=(25, 50, 100), repeats=5)
+    # Each call takes a few ms, so a burst of load on a shared host can move
+    # one size's best of a few rounds by a fifth; its best of 40 holds steady.
+    report = run_benchmark(canvases=(512, 1024), sizes=(25, 50, 100), repeats=40)
     area_ratio = report["dp_area_ratio"]
     size_spread = report["dp_size_spread"]
     oracle_growth = report["oracle_growth"]

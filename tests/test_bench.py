@@ -6,11 +6,7 @@ canvases; here we only verify report shape, on tiny inputs.
 
 import pytest
 
-from maskcomplete.bench import (
-    BENCH_GAMMA,
-    run_benchmark,
-    time_round_robin,
-)
+from maskcomplete.bench import BENCH_GAMMA, _time_configs, run_benchmark
 
 
 def test_report_structure():
@@ -57,13 +53,18 @@ def test_duplicate_canvases_rejected():
         run_benchmark(canvases=(16, 16), sizes=(4,), repeats=1, include_oracle=False)
 
 
-def test_time_round_robin_counts_calls():
+def test_time_configs_counts_calls():
     calls = []
-    times = time_round_robin(
-        [lambda: calls.append("a"), lambda: calls.append("b")], repeats=3
-    )
-    assert len(times) == 2 and all(t >= 0 for t in times)
-    assert calls == ["a", "b"] * 4  # one warmup round + three timed rounds
+
+    def complete(mask, size, gamma):
+        calls.append((mask.shape, size, gamma))
+
+    seconds = _time_configs(complete, (16, 8), (4, 12), repeats=3)
+    assert set(seconds) == {"16", "8"} and set(seconds["8"]) == {"4"}
+    assert all(t >= 0 for per_size in seconds.values() for t in per_size.values())
+    # per canvas, in turn: one warmup round + three timed rounds, round-robin
+    big = [((16, 16), 4, BENCH_GAMMA), ((16, 16), 12, BENCH_GAMMA)]
+    assert calls == big * 4 + [((8, 8), 4, BENCH_GAMMA)] * 4
     calls.clear()
-    time_round_robin([lambda: calls.append(1)], repeats=2, warmup=False)
-    assert len(calls) == 2
+    _time_configs(complete, (16,), (4, 12), repeats=2, warmup=False)
+    assert calls == big * 2

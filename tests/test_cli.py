@@ -584,6 +584,27 @@ class TestErrorHandling:
         assert run_cli(*argv) == 2
         assert capsys.readouterr().err.startswith("error: gamma must lie in [0, 1)")
 
+    @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--alpha=5", "alpha must lie in (0, 1), got 5.0"),
+            ("--beta=0", "beta must lie in (0, 1), got 0.0"),
+            ("--t-max=-3", "t_max must be >= 1, got -3"),
+        ],
+    )
+    def test_fixed_gamma_checks_the_schedule_flags(
+        self, tmp_path, corrupted_fixture, capsys, flag, message
+    ):
+        # The schedule is unused at a fixed gamma, but its flags are still checked.
+        path, _ = corrupted_fixture
+        out = tmp_path / "o.pbm"
+        code = run_cli(
+            "complete", path, "-o", out, "--sizes", "15", "--fixed-gamma", "0.3", flag
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bad_sizes_is_usage_error(self, tmp_path, corrupted_fixture):
         path, _ = corrupted_fixture
         code = run_cli("complete", path, "-o", tmp_path / "o.pbm", "--sizes", "8,oops")

@@ -854,6 +854,48 @@ class TestPassCounts:
         assert sites == ["completion._union_of_covers"]
 
 
+class TestLinearWork:
+    """The engine's work, counted in elements written, so no clock is read.
+
+    A band of m new rows writes m·(W+1) table elements in its running sums
+    along the rows and (m + 1 - k)·(W+1) in its column add at each power of
+    2 k <= m; each size writes three ones planes of one element per window
+    corner; and a cover takes ceil(log2 s) shifted ORs along each axis.
+    """
+
+    @staticmethod
+    def fill_work(m, w):
+        return (w + 1) * (m + sum(m + 1 - 2**j for j in range(m.bit_length())))
+
+    @pytest.mark.parametrize("s", [25, 50, 100])
+    def test_work_is_linear_in_area_and_logarithmic_in_size(self, s):
+        per_pixel = {}
+        for n in (128, 256, 512, 1024):
+            mask = generate_shape_mask("square", s, None, (n, n))
+            want = complete_single_size(mask, s, 0.25)
+            got, work = _tally_work(lambda: complete_single_size(mask, s, 0.25))
+            assert np.array_equal(got, want)
+
+            # One band up to 256 + s - 1 rows; 256-row bands past that.
+            bands = [min(n, completion._BAND)] * max(1, n // completion._BAND)
+            assert [len(p) for p in work["_fill"]] == [m.bit_length() + 1 for m in bands]
+            table = sum(map(sum, work["_fill"]))
+            assert table == sum(self.fill_work(m, n) for m in bands)
+            per_pixel[n] = Fraction(table, n * (n + 1))
+
+            assert all(len(p) == 3 for p in work["_ones"])
+            ones = sum(map(sum, work["_ones"]))
+            assert ones == 3 * (n - s + 1) ** 2 <= 3 * n * n
+
+            # Two running ORs, one per axis, make each cover.
+            passes = [len(p) for p in work["_running_or"]]
+            assert passes and len(passes) % 2 == 0
+            assert passes == [(s - 1).bit_length()] * len(passes)
+        # Less its extra column, the table's work per pixel is the same
+        # whatever the canvas height, once the canvas fills a band.
+        assert per_pixel[128] < per_pixel[256] == per_pixel[512] == per_pixel[1024]
+
+
 class TestBands:
     """Streaming over row bands changes no output and no report field."""
 
@@ -960,3 +1002,38 @@ class _CallSites(ast.NodeVisitor):
         if called == self.name:
             self.sites.append(".".join(self.scope))
         self.generic_visit(node)
+
+
+class _Tally(np.ndarray):
+    """A view that appends the size of each ufunc result made from it to ``sink``."""
+
+    def __array_finalize__(self, obj):
+        self.sink = getattr(obj, "sink", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        sink = next(a.sink for a in (*inputs, *out) if isinstance(a, _Tally))
+
+        def plain(arrays):
+            return tuple(a.view(np.ndarray) if isinstance(a, _Tally) else a for a in arrays)
+
+        if out:
+            kwargs["out"] = plain(out)
+        result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+        sink.append(result.size)
+        return result
+
+
+def _tally_work(call):
+    """``call()``'s result, and for each call it makes of ``_fill``, ``_ones``
+    and ``_running_or``, the elements each of its whole-array passes wrote."""
+    work = {name: [] for name in ("_fill", "_ones", "_running_or")}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, calls in work.items():
+            def tallied(a, *args, fn=getattr(completion, name), calls=calls):
+                view = a.view(_Tally)
+                view.sink = []
+                calls.append(view.sink)
+                return fn(view, *args)
+
+            mp.setattr(completion, name, tallied)
+        return call(), work

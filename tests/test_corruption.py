@@ -2,6 +2,8 @@
 the per-trial guarantee harness.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -336,6 +338,13 @@ class TestGuaranteeTrial:
         assert record.kind is CorruptionKind.SPLIT_HOLE
         assert record.budget == 16
         assert record.seed == 5
+
+    def test_outcome_holds_only_the_damage(self):
+        outcome = corrupt_outcome(
+            square_patch(), CorruptionModel(CorruptionKind.SPLIT_HOLE, 16, seed=5)
+        )
+        fields = [f.name for f in dataclasses.fields(outcome)]
+        assert fields == ["mask", "hamming", "clamped"]
 
     def test_oversized_patch_raises(self):
         with pytest.raises(ValueError):
