@@ -10,16 +10,20 @@ of qualifying windows.
 The implementation runs in time linear in the image area: one summed-area
 table turns the ones inside every window into a four-corner lookup, and a
 window holding ``ones`` set pixels lies at distance s**2 + total - 2 * ones
-from a mask with ``total`` set pixels.  Table row i counts the ones in
-mask rows i and below and in the cols left of each entry, so the zero row
-is the last and col 0 is zero.  The table is kept modulo 2**bits in the
-smallest unsigned dtype that holds the largest fitting s**2 (uint16 for
-sides 16 to 255), so every window count comes back exact in half the
-bytes of int32.  Each row is summed along its cols by a running sum,
-then the rows are summed from the bottom by doubling, in place.  "Is this
-pixel inside some accepted window" is a dilation of the accepted window
-corners by an s-by-s box, about 2 * log2(s) shifted ORs over a plane of
-bytes.
+from a mask with ``total`` set pixels.  Table entry (i, j) counts the ones
+in mask rows i and below, in col j and the cols right of it, plus one
+constant per row: a window's count is a difference within a row less the
+same difference s rows down, so the constants cancel.  The zero row is
+the last.  The table is kept modulo 2**bits in the smallest unsigned dtype
+that holds the largest fitting s**2 (uint16 for sides 16 to 255), so
+every window count comes back exact in half the bytes of int32.  It is
+summed by doubling, in place: first along the flat block of its rows,
+adding to each entry every entry after it, then down the cols, adding to
+each row every row below it.  On a small block, or on rows too long for
+the flat pass's log2 adds to pay, a running sum along each row from the
+right takes the flat pass's place.  "Is this pixel inside some accepted
+window" is a dilation of the accepted window corners by an s-by-s box,
+about 2 * log2(s) shifted ORs over a plane of bytes.
 
 The mask is streamed in bands of a fixed number of window-corner rows
 (``_BAND``), from the bottom band up.  One buffer holds the table rows a
@@ -165,11 +169,18 @@ class CompletionReport:
 # their whole table at once and pay nothing for the streaming.
 _BAND = 256
 
+# The row pass doubles over a block of at least _FLAT_MIN entries whose
+# rows hold at most _FLAT_COLS each: a smaller block sums its rows faster
+# one by one, and past _FLAT_COLS the log2 adds per entry of the doubling
+# lose to the one add of a running sum, and would grow with the width.
+_FLAT_MIN = 2**14
+_FLAT_COLS = 2**15
+
 
 def _zero_table(h, w, largest) -> np.ndarray:
     """(h+1)×(w+1) zeros in the smallest unsigned dtype that holds ``largest``².
 
-    The rows are left unpadded: :func:`_fill`'s column pass needs them
+    The rows are left unpadded: :func:`_fill`'s passes need them
     contiguous, and rows of exactly 1, 2 or 4 KiB build as fast as rows a
     cache line longer.
     """
@@ -177,35 +188,53 @@ def _zero_table(h, w, largest) -> np.ndarray:
 
 
 def _fill(table, flags):
-    """Make every row of ``table`` but the last a summed-area row of ``flags``.
+    """Make every row of ``table`` but the last a table row of ``flags``.
 
     The last row must already be one (the zero row, or the row the rows of
-    ``flags`` continue upward), column 0 must be zero, and ``table`` must
-    be C-contiguous.  Each row is summed along its cols in place; then
-    adding to every row the row k below it, for k = 1, 2, 4, ..., makes
-    each row the sum of the 2k rows from it down, so ceil(log2(rows + 1))
-    whole-plane adds finish the column pass.  The rows read lie ahead of
-    the rows written on one contiguous block, so numpy adds in place
-    without copying an operand, and no plane is allocated.
+    ``flags`` continue upward); the new rows' last col may hold anything,
+    since it adds one constant to each row.  ``table`` must be
+    C-contiguous, or the flat view of its rows would be a copy.  The row
+    pass doubles over the new rows' flat block: adding to every entry the
+    entry k after it, for k = 1, 2, 4, ..., makes each the sum of every
+    entry from it on, its row's from its col rightward plus the rows below
+    it, a constant per row.  A block under ``_FLAT_MIN`` entries, or with
+    rows longer than ``_FLAT_COLS``, sums each row from the right instead.
+    The column pass then adds to every row the row k below it, so
+    ceil(log2(rows + 1)) whole-plane adds make each row the sum of the
+    rows from it down.  Each doubling reads ahead of what it writes on one
+    contiguous block, so numpy adds in place without copying an operand,
+    and no plane is allocated.
     """
+    if not table.flags.c_contiguous:
+        raise ValueError("the table must be C-contiguous")
     rows = table[:-1]
-    rows[:, 1:] = flags
-    rows.cumsum(axis=1, out=rows)
+    rows[:, :-1] = flags
+    if _FLAT_MIN <= rows.size and rows.shape[1] <= _FLAT_COLS:
+        _double(rows.reshape(-1))
+    else:
+        back = rows[:, ::-1]
+        back.cumsum(axis=1, out=back)
+    _double(table)
+
+
+def _double(block):
+    """Add to each entry of ``block`` (a row, if 2-D) every one after it, in place."""
     k = 1
-    while k < len(table):
-        table[:-k] += table[k:]
+    while k < len(block):
+        block[:-k] += block[k:]
         k *= 2
 
 
 def _summed_area(flags, largest) -> np.ndarray:
-    """(H+1)×(W+1) summed-area table of ``flags`` toward the bottom-left, wrapped.
+    """(H+1)×(W+1) summed-area table of ``flags`` toward the bottom-right, wrapped.
 
-    Entry (i, j) counts the ones in ``flags[i:, :j]`` modulo 2^bits, in the
-    smallest unsigned dtype that holds ``largest``².  A window of side s <=
-    ``largest`` holds at most s² ones, so its four-corner difference, taken
-    in the same dtype, wraps back to the exact count.  The last row and
-    column 0 are zero, so any box sum is four lookups with no bounds
-    special cases.
+    Entry (i, j) counts the ones in ``flags[i:, j:]`` plus a constant of
+    row i, modulo 2^bits, in the smallest unsigned dtype that holds
+    ``largest``².  A window of side s <= ``largest`` holds at most s² ones,
+    so its four-corner difference, taken in the same dtype, cancels the
+    constants and wraps back to the exact count.  The last row is zero and
+    every row ends one col past the mask, so any box sum is four lookups
+    with no bounds special cases.
     """
     table = _zero_table(*flags.shape, largest)
     _fill(table, flags)
@@ -250,14 +279,16 @@ def _ones(table, s) -> np.ndarray:
     ``table`` is the mask's :func:`_summed_area` for some largest size >= s,
     or any block of its rows and columns; entry (i, j) of the result
     belongs to the window whose top-left corner is at table entry (i, j),
-    which must fit: s <= H and s <= W.  Rows i and i + s bound the window's
-    rows from above and below, so each col's count is row i less row i + s.
-    The window's Hamming distance to the mask is s² + total - 2 * ones, so
-    more ones is closer.
+    which must fit: s <= H and s <= W.  Cols j and j + s bound the
+    window's cols from left and right, so in each row its cols hold entry
+    j less entry j + s, and the row's constant cancels; rows i and i + s
+    bound its rows from above and below, so its count is that difference
+    in row i less the one in row i + s.  The window's Hamming distance to
+    the mask is s² + total - 2 * ones, so more ones is closer.
     """
-    ones = table[:-s, s:] - table[s:, s:]
-    ones -= table[:-s, :-s]
-    ones += table[s:, :-s]
+    ones = table[:-s, :-s] - table[s:, :-s]
+    ones -= table[:-s, s:]
+    ones += table[s:, s:]
     return ones
 
 

@@ -1,10 +1,12 @@
 """Shared helpers for the test suite."""
 
+import math
 from collections import deque
 
 import numpy as np
 import pytest
 
+from maskcomplete import completion
 from maskcomplete.completion import _ones, _summed_area
 
 
@@ -82,3 +84,25 @@ def component_count(mask):
 def rng():
     """Fresh deterministic generator per test."""
     return np.random.default_rng(0xA11CE)
+
+
+@pytest.fixture(params=["flat", "serial"])
+def row_pass(request, monkeypatch):
+    """Build every table with one row pass: the flat doubling or the row sums.
+
+    The two bounds are set so that every block takes the named pass, and
+    the test errs unless some table was built, all of them by that pass:
+    the flat pass doubles over a 1-D block, the column pass over rows.
+    """
+    flat = request.param == "flat"
+    monkeypatch.setattr(completion, "_FLAT_MIN", 0 if flat else math.inf)
+    monkeypatch.setattr(completion, "_FLAT_COLS", math.inf if flat else 0)
+    blocks, double = [], completion._double
+
+    def spied(block):
+        blocks.append(block.ndim)
+        double(block)
+
+    monkeypatch.setattr(completion, "_double", spied)
+    yield request.param
+    assert 2 in blocks and (1 in blocks) == flat

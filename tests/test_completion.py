@@ -857,43 +857,82 @@ class TestPassCounts:
 class TestLinearWork:
     """The engine's work, counted in elements written, so no clock is read.
 
-    A band of m new rows writes m·(W+1) table elements in its running sums
-    along the rows and (m + 1 - k)·(W+1) in its column add at each power of
-    2 k <= m; each size writes three ones planes of one element per window
-    corner; and a cover takes ceil(log2 s) shifted ORs along each axis.
+    A band of m new rows sums the n = m·(W+1) entries of its block along
+    the rows, then writes (m + 1 - k)·(W+1) elements in its column add at
+    each power of 2 k <= m.  The row pass is a flat doubling that writes
+    n - k elements at each power of 2 k < n, or, on a block under
+    ``_FLAT_MIN`` entries or with rows longer than ``_FLAT_COLS``, one
+    running sum of n.  Each size writes three ones planes of one element
+    per window corner, and a cover takes ceil(log2 s) shifted ORs along
+    each axis.
     """
 
     @staticmethod
     def fill_work(m, w):
-        return (w + 1) * (m + sum(m + 1 - 2**j for j in range(m.bit_length())))
+        n = m * (w + 1)
+        if completion._FLAT_MIN <= n and w + 1 <= completion._FLAT_COLS:
+            rows = [n - 2**j for j in range((n - 1).bit_length())]
+        else:
+            rows = [n]
+        return rows + [(m + 1 - 2**j) * (w + 1) for j in range(m.bit_length())]
+
+    def table_work_per_pixel(self, s, n):
+        """The elements the table passes of one n² call of size s write,
+        per table entry, checked pass by pass against :meth:`fill_work`."""
+        mask = generate_shape_mask("square", s, None, (n, n))
+        want = complete_single_size(mask, s, 0.25)
+        got, work = _tally_work(lambda: complete_single_size(mask, s, 0.25))
+        assert np.array_equal(got, want)
+
+        # One band up to 256 + s - 1 rows; 256-row bands past that.
+        bands = [min(n, completion._BAND)] * max(1, n // completion._BAND)
+        assert work["_fill"] == [self.fill_work(m, n) for m in bands]
+
+        assert all(len(p) == 3 for p in work["_ones"])
+        ones = sum(map(sum, work["_ones"]))
+        assert ones == 3 * (n - s + 1) ** 2 <= 3 * n * n
+
+        # Two running ORs, one per axis, make each cover.
+        passes = [len(p) for p in work["_running_or"]]
+        assert passes and len(passes) % 2 == 0
+        assert passes == [(s - 1).bit_length()] * len(passes)
+        return Fraction(sum(map(sum, work["_fill"])), n * (n + 1))
 
     @pytest.mark.parametrize("s", [25, 50, 100])
     def test_work_is_linear_in_area_and_logarithmic_in_size(self, s):
-        per_pixel = {}
-        for n in (128, 256, 512, 1024):
-            mask = generate_shape_mask("square", s, None, (n, n))
-            want = complete_single_size(mask, s, 0.25)
-            got, work = _tally_work(lambda: complete_single_size(mask, s, 0.25))
-            assert np.array_equal(got, want)
+        # A band's block holds at most (_BAND + s - 1)·_FLAT_COLS entries,
+        # so each entry takes a number of adds bounded whatever the canvas.
+        rows = completion._BAND + s
+        bound = (rows * completion._FLAT_COLS).bit_length() + rows.bit_length()
+        per_pixel = {n: self.table_work_per_pixel(s, n) for n in (128, 256, 512, 1024)}
+        assert max(per_pixel.values()) <= bound
+        # Each doubling of the width takes one more flat add.
+        assert per_pixel[128] < per_pixel[256] < per_pixel[512] < per_pixel[1024]
+        assert per_pixel[1024] - per_pixel[512] < 1
 
-            # One band up to 256 + s - 1 rows; 256-row bands past that.
-            bands = [min(n, completion._BAND)] * max(1, n // completion._BAND)
-            assert [len(p) for p in work["_fill"]] == [m.bit_length() + 1 for m in bands]
-            table = sum(map(sum, work["_fill"]))
-            assert table == sum(self.fill_work(m, n) for m in bands)
-            per_pixel[n] = Fraction(table, n * (n + 1))
+    def test_rows_past_the_width_cap_do_equal_work_per_pixel(self, monkeypatch):
+        # Past the cap each row is one running sum, so less its extra
+        # column the table's work per pixel is the same whatever the
+        # canvas, once the canvas fills a band.
+        monkeypatch.setattr(completion, "_FLAT_COLS", 512)
+        per_pixel = {n: self.table_work_per_pixel(25, n) for n in (512, 1024)}
+        assert per_pixel[512] == per_pixel[1024] < 9
 
-            assert all(len(p) == 3 for p in work["_ones"])
-            ones = sum(map(sum, work["_ones"]))
-            assert ones == 3 * (n - s + 1) ** 2 <= 3 * n * n
-
-            # Two running ORs, one per axis, make each cover.
-            passes = [len(p) for p in work["_running_or"]]
-            assert passes and len(passes) % 2 == 0
-            assert passes == [(s - 1).bit_length()] * len(passes)
-        # Less its extra column, the table's work per pixel is the same
-        # whatever the canvas height, once the canvas fills a band.
-        assert per_pixel[128] < per_pixel[256] == per_pixel[512] == per_pixel[1024]
+    @pytest.mark.parametrize(
+        "h,w,flat",
+        [
+            (64, 64, False),  # 64·65 entries, under _FLAT_MIN
+            (127, 128, False),  # 16,383 entries
+            (128, 128, True),  # 16,512 entries
+            (3, 2**15 - 1, True),  # rows of 2^15 entries
+            (3, 2**15, False),  # rows of 2^15 + 1 entries
+        ],
+    )
+    def test_the_bounds_pick_the_row_pass(self, h, w, flat):
+        mask = np.ones((h, w), dtype=np.uint8)
+        _, work = _tally_work(lambda: _summed_area(mask, 2))
+        assert work["_fill"] == [self.fill_work(h, w)]
+        assert (len(work["_fill"][0]) > 1 + h.bit_length()) == flat
 
 
 class TestBands:
@@ -981,6 +1020,63 @@ class TestBands:
         for (a, ra), (b, rb) in zip(got[:2], want[:2]):
             assert np.array_equal(a, b) and ra == rb
         assert np.array_equal(got[2][0], want[2][0])
+
+
+_EVERY_4X4 = np.unpackbits(np.arange(65536, dtype=">u2").view(np.uint8)).reshape(-1, 4, 4)
+
+
+@pytest.fixture(scope="module")
+def oracle_4x4():
+    """The oracle's completion of every 4×4 mask at sizes 2 and 3, gamma 1/4."""
+    return [oracle_complete_multi(m, (2, 3), Fraction(1, 4)) for m in _EVERY_4X4]
+
+
+@pytest.fixture(scope="module")
+def wide_canvas():
+    """A canvas whose table rows hold over 2^15 entries, and the oracle's outputs.
+
+    A near-patch at the rows' far end, with a stray at each end, stops the
+    search at step 2; in bands of 4 rows its second pass builds a box
+    table past col 2^15.
+    """
+    mask = np.zeros((12, 2**15 + 9), dtype=np.uint8)
+    mask[6:11, -7:-2] = 1
+    mask[8, -4] = 0
+    mask[1, 2] = mask[3, -1] = 1
+    sizes, gamma = (2, 3, 5), Fraction(3, 10)
+    want = {s: oracle_complete_single(mask, s, gamma) for s in sizes}
+    want["fixed"] = oracle_complete_multi(mask, sizes, gamma)
+    want["search"] = oracle_complete_multi(mask, sizes, GammaSchedule().gamma(2))
+    return mask, sizes, gamma, want
+
+
+class TestRowPasses:
+    """Either row pass builds tables that give every entry point the oracle's output."""
+
+    def test_every_band_height_matches_the_oracle_and_one_band(
+        self, monkeypatch, row_pass
+    ):
+        TestBands().test_every_band_height_matches_the_oracle_and_one_band(monkeypatch)
+
+    def test_every_4x4_mask_matches_the_oracle(self, row_pass, oracle_4x4):
+        for mask, want in zip(_EVERY_4X4, oracle_4x4):
+            out, _ = complete_fixed_gamma(mask, (2, 3), Fraction(1, 4))
+            assert np.array_equal(out, want)
+
+    def test_a_canvas_wider_than_the_cap_matches_the_oracle(
+        self, monkeypatch, row_pass, wide_canvas
+    ):
+        mask, sizes, gamma, want = wide_canvas
+        monkeypatch.setattr(completion, "_BAND", 4)
+        (out, report), (fixed, _), singles = TestBands.runs(
+            mask, sizes, gamma, GammaSchedule()
+        )
+        assert report.iterations_run == 2
+        assert report.per_size_accepted == {2: 0, 3: 0, 5: 1}
+        assert np.array_equal(out, want["search"])
+        assert np.array_equal(fixed, want["fixed"])
+        for s, single in zip(sizes, singles):
+            assert np.array_equal(single, want[s])
 
 
 class _CallSites(ast.NodeVisitor):

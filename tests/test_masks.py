@@ -87,10 +87,22 @@ def table_of(mask):
 
 
 def reference_table(mask):
-    """The table in int64, unwrapped: entry (i, j) counts the ones in mask[i:, :j]."""
+    """The table in int64, unwrapped: entry (i, j) counts the ones in mask[i:, j:]."""
     table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
-    table[:-1, 1:] = mask[::-1].cumsum(axis=0)[::-1].cumsum(axis=1)
+    table[:-1, :-1] = mask[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]
     return table
+
+
+def less_row_constants(table):
+    """``table`` less each row's last entry, in int64 modulo 2^bits.
+
+    The engine's table may add one constant to each whole row, since a
+    window's count is a difference within a row less the same difference s
+    rows down.  The reference's last col is zero, so the last entry is that
+    constant, and what is left must equal the reference, wrapped.
+    """
+    wide = table.astype(np.int64)
+    return (wide - wide[:, -1:]) % 2 ** (8 * table.itemsize)
 
 
 _MASK = np.eye(8, dtype=np.uint8)
@@ -400,14 +412,16 @@ class TestIntegralImage:
         assert not table.any()
 
     def test_all_ones_2x2(self):
-        table = table_of(np.ones((2, 2), dtype=np.uint8))
-        assert table[0, 2] == 4
+        table = less_row_constants(table_of(np.ones((2, 2), dtype=np.uint8)))
+        assert table[0, 0] == 4
         assert table[1, 1] == 1
 
     def test_zero_border(self, rng):
-        table = table_of(random_mask(rng, 6, 9))
+        # The last row is zero; the last col holds only the row constants.
+        mask = random_mask(rng, 6, 9)
+        table = table_of(mask)
         assert not table[-1].any()
-        assert not table[:, 0].any()
+        assert np.array_equal(less_row_constants(table), reference_table(mask))
 
     def test_matches_double_sum(self, rng):
         mask = random_mask(rng, 8, 8)
@@ -415,24 +429,26 @@ class TestIntegralImage:
         for i in range(9):
             for j in range(9):
                 direct = sum(
-                    int(mask[r, c]) for r in range(i, 8) for c in range(j)
+                    int(mask[r, c]) for r in range(i, 8) for c in range(j, 8)
                 )
-                assert table[i, j] == direct
-        assert np.array_equal(table, reference_table(mask))
+                extra = int(table[i, j]) - int(table[i, -1])
+                assert extra % 2 ** (8 * table.itemsize) == direct
+        assert np.array_equal(less_row_constants(table), reference_table(mask))
 
     def test_total_equals_popcount(self, rng):
         mask = random_mask(rng, 11, 7, density=0.3)
-        assert table_of(mask)[0, -1] == np.count_nonzero(mask)
+        assert less_row_constants(table_of(mask))[0, 0] == np.count_nonzero(mask)
 
     @settings(max_examples=50)
     @given(mask=small_masks)
     def test_monotone_rows_and_cols(self, mask):
-        # At most 144 ones: no entry wraps, so the sums fall down the rows
-        # and rise along the cols, and equal the unwrapped reference.
-        table = table_of(mask).astype(np.int64)
+        # At most 144 ones: no entry wraps, so less its row constants the
+        # table falls down the rows and along the cols, and equals the
+        # unwrapped reference.
+        table = less_row_constants(table_of(mask))
         assert np.array_equal(table, reference_table(mask))
         assert (np.diff(table, axis=0) <= 0).all()
-        assert (np.diff(table, axis=1) >= 0).all()
+        assert (np.diff(table, axis=1) <= 0).all()
 
     def test_peak_memory_is_the_table_alone(self):
         # A 2-byte table for sizes up to 255, its rows unpadded.
@@ -444,13 +460,13 @@ class TestIntegralImage:
         finally:
             tracemalloc.stop()
         assert table.dtype == np.uint16
-        assert table[0, -1] == 512 * 512 % 2**16
+        assert np.array_equal(less_row_constants(table), reference_table(mask) % 2**16)
         assert peak <= 2 * 513 * 513 + 4 * 1024
 
     def test_fill_allocates_no_plane(self, rng):
-        # Both passes run in place: the row pass as a cumsum into its own
-        # rows, the column pass as adds whose read rows lie ahead of the
-        # written ones, which numpy takes without copying an operand.
+        # Both passes run in place as adds whose read operand lies ahead of
+        # the written one, which numpy takes without copying it: the row
+        # pass over the new rows' flat block, the column pass over rows.
         mask = random_mask(rng, 512, 512, density=0.5)
         table = _zero_table(512, 512, 255)
         tracemalloc.start()
@@ -460,8 +476,24 @@ class TestIntegralImage:
         finally:
             tracemalloc.stop()
         assert table.dtype == np.uint16
-        assert np.array_equal(table, reference_table(mask) % 2**16)
+        assert np.array_equal(less_row_constants(table), reference_table(mask) % 2**16)
         assert peak <= 4 * 1024
+
+    def test_the_new_rows_last_col_may_hold_anything(self, rng, row_pass):
+        # Whatever it holds adds one constant to each row, which every
+        # window count cancels, so a band buffer's stale col needs no zeros.
+        mask = random_mask(rng, 40, 30)
+        table = _zero_table(40, 30, 30)
+        table[:-1, -1] = rng.integers(0, 2**16, 40)
+        _fill(table, mask)
+        assert np.array_equal(less_row_constants(table), reference_table(mask))
+
+    def test_fill_refuses_a_table_that_is_not_c_contiguous(self):
+        # reshape(-1) would copy such a block, and the row pass sum the copy.
+        table = _zero_table(4, 8, 3)[:, :5]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _fill(table, np.ones((4, 4), dtype=np.uint8))
+        assert not table.any()
 
     @pytest.mark.parametrize(
         "largest,dtype",
@@ -489,7 +521,7 @@ class TestIntegralImage:
         # range, yet every window up to the largest holds exactly s² ones.
         table = _summed_area(np.ones((side, side), dtype=np.uint8), largest)
         assert table.dtype == dtype
-        assert table[0, -1] == side * side % 2 ** (8 * table.itemsize)
+        assert less_row_constants(table)[0, 0] == side * side % 2 ** (8 * table.itemsize)
         for s in sorted({1, 2, largest // 2, largest - 1, largest}):
             ones = _ones(table, s)
             assert ones.dtype == dtype and ones.shape == (side - s + 1,) * 2
@@ -500,9 +532,9 @@ class TestIntegralImage:
         mask = random_mask(rng, 300, 280, density=0.8)
         wide = reference_table(mask)
         table = _summed_area(mask, largest)
-        assert np.array_equal(table, wide % 2 ** (8 * table.itemsize))
+        assert np.array_equal(less_row_constants(table), wide % 2 ** (8 * table.itemsize))
         for s in (1, 7, largest):
-            want = wide[:-s, s:] - wide[s:, s:] - wide[:-s, :-s] + wide[s:, :-s]
+            want = wide[:-s, :-s] - wide[s:, :-s] - wide[:-s, s:] + wide[s:, s:]
             assert np.array_equal(_ones(table, s), want)
 
 
@@ -510,10 +542,12 @@ def window_sum(table, s, i, j):
     """Ones inside the s×s window at (i, j), by a four-corner lookup.
 
     Row i counts the ones from the window's top row down and row i + s
-    those below it.  The table wraps modulo 2^bits, so the difference is
-    taken modulo the same; the window's count lies below it.
+    those below it, each from col j on less from col j + s on; a row's
+    constant cancels in each difference.  The table wraps modulo 2^bits,
+    so the difference is taken modulo the same; the window's count lies
+    below it.
     """
-    corners = table[i, j + s], table[i + s, j + s], table[i, j], table[i + s, j]
+    corners = table[i, j], table[i + s, j], table[i, j + s], table[i + s, j + s]
     a, b, c, d = (int(v) for v in corners)
     return (a - b - c + d) % 2 ** (8 * table.itemsize)
 
