@@ -214,8 +214,10 @@ def _cmd_trial(args):
         for seed in seeds
     ]
     passed = sum(r.passed for r in records)
-    within = [r for r in records if r.within_budget]
-    failures_within = [r for r in within if not r.passed]
+    within = sum(r.within_budget for r in records)
+    failures_within = [
+        int(seed) for seed, r in zip(seeds, records) if r.within_budget and not r.passed
+    ]
 
     if args.report:
         _write_report(
@@ -232,25 +234,28 @@ def _cmd_trial(args):
                 "generator": "pcg64",
             },
             passed=passed,
-            within_budget=len(within),
-            within_budget_failures=[r.seed for r in failures_within],
+            within_budget=within,
+            within_budget_failures=failures_within,
             cover_rate=passed / len(records),
         )
 
     print(
         f"{passed}/{len(records)} trials covered the ground truth "
-        f"({len(within)} within budget, {len(failures_within)} guarantee violations)"
+        f"({within} within budget, {len(failures_within)} guarantee violations)"
     )
     return 1 if failures_within else 0
 
 
 def _cmd_bench(args):
-    report = run_benchmark(
-        canvases=_parse_ints(args.canvases, "canvases", "canvas"),
-        sizes=_parse_sizes(args.sizes),
-        repeats=args.reps,
-        include_oracle=not args.no_oracle,
-    )
+    # A flag left out leaves run_benchmark's own default in force.
+    options = {"include_oracle": not args.no_oracle}
+    if args.canvases is not None:
+        options["canvases"] = _parse_ints(args.canvases, "canvases", "canvas")
+    if args.sizes is not None:
+        options["sizes"] = _parse_sizes(args.sizes)
+    if args.reps is not None:
+        options["repeats"] = args.reps
+    report = run_benchmark(**options)
     for engine in ("dp", "oracle"):
         for canvas, per_size in report[f"{engine}_seconds"].items():
             for size, seconds in per_size.items():
@@ -364,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trial)
 
     p = sub.add_parser("bench", help="scaling benchmark")
-    p.add_argument("--canvases", default="512,1024", help="square canvas sizes")
-    p.add_argument("--sizes", default="25,50,100", help="patch sizes")
-    p.add_argument("--reps", type=int, default=3, help="engine repetitions")
+    p.add_argument("--canvases", help="square canvas sizes")
+    p.add_argument("--sizes", help="patch sizes")
+    p.add_argument("--reps", type=int, help="engine repetitions")
     p.add_argument("--no-oracle", action="store_true", help="skip the oracle path")
     p.add_argument("--report", help="write the JSON report here")
     p.set_defaults(func=_cmd_bench)

@@ -62,14 +62,8 @@ class CorruptionOutcome:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One coverage-guarantee trial (see :func:`guarantee_trial`)."""
+    """What one coverage-guarantee trial measured (see :func:`guarantee_trial`)."""
 
-    size: int
-    canvas: tuple
-    gamma: float
-    kind: CorruptionKind
-    budget: int
-    seed: int
     patch_row: int
     patch_col: int
     hamming: int
@@ -196,12 +190,6 @@ def guarantee_trial(s, canvas, gamma, model) -> TrialRecord:
     covered = not np.any(gt & ~completed)
 
     return TrialRecord(
-        size=s,
-        canvas=(H, W),
-        gamma=float(gamma),
-        kind=model.kind,
-        budget=model.budget,
-        seed=model.seed,
         patch_row=row,
         patch_col=col,
         hamming=outcome.hamming,

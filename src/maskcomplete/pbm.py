@@ -16,7 +16,6 @@ to exactly W columns.  Both return a C-contiguous uint8 array.
 import contextlib
 import os
 import re
-import tempfile
 
 import numpy as np
 
@@ -119,11 +118,14 @@ def decode_pbm(data: bytes) -> np.ndarray:
 def atomic_write_bytes(path, data: bytes):
     """Write bytes to ``path`` via a temp file + rename in the same dir.
 
-    A failed write leaves no temp file, and its OSError names ``path``.
+    The file gets the mode any new file gets, 0o666 less the umask.  A
+    failed write leaves no temp file, and its OSError names ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        fd = os.open(tmp, flags, 0o666)
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)

@@ -7,6 +7,7 @@ error, 3 I/O error.
 """
 
 import errno
+import inspect
 import json
 import os
 import subprocess
@@ -18,9 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maskcomplete import GammaSchedule, gamma_search, read_pbm, write_pbm
+from maskcomplete.bench import run_benchmark
 from maskcomplete.corruption import CorruptionKind, CorruptionModel, corrupt_outcome
 from maskcomplete.shapes import generate_shape_mask
 import maskcomplete.cli as cli
+import maskcomplete.corruption as corruption
 from maskcomplete.cli import main
 
 
@@ -468,8 +471,38 @@ class TestCorruptAndTrial:
         assert doc["within_budget_failures"] == []
         assert doc["config"]["budget"] == 19  # floor(0.3 * 64)
 
+    def test_trial_reports_each_violation_by_its_seed(self, tmp_path, capsys, monkeypatch):
+        # An engine that covers nothing fails every trial within budget.
+        monkeypatch.setattr(
+            corruption, "complete_single_size", lambda mask, s, gamma: np.zeros_like(mask)
+        )
+        report = tmp_path / "trials.json"
+        code = run_cli(
+            "trial", "--size", 8, "--gamma", "0.3", "--model", "erode-boundary",
+            "--trials", 3, "--canvas", "24x20", "--seed", 3, "--report", report,
+        )
+        assert code == 1
+        assert "3 guarantee violations" in capsys.readouterr().out
+        seeds = np.random.SeedSequence(3).generate_state(3, dtype=np.uint64)
+        doc = json.loads(report.read_text())
+        assert doc["within_budget_failures"] == [int(x) for x in seeds]
+
 
 class TestBench:
+    def test_no_flags_run_the_benchmark_on_its_own_defaults(self, monkeypatch):
+        calls = []
+
+        def record(**options):
+            calls.append(options)
+            return {"dp_seconds": {}, "oracle_seconds": {}}
+
+        monkeypatch.setattr(cli, "run_benchmark", record)
+        assert run_cli("bench") == 0
+        signature = inspect.signature(run_benchmark)
+        called = signature.bind(**calls[0])
+        called.apply_defaults()
+        assert called.arguments == {n: p.default for n, p in signature.parameters.items()}
+
     def test_tiny_benchmark_runs(self, tmp_path, capsys):
         report = tmp_path / "bench.json"
         code = run_cli(

@@ -331,13 +331,22 @@ class TestGuaranteeTrial:
         record = guarantee_trial(
             8, (20, 26), 0.25, CorruptionModel(CorruptionKind.SPLIT_HOLE, 16, seed=5)
         )
-        assert record.size == 8
-        assert record.canvas == (20, 26)
         assert 0 <= record.patch_row <= 12
         assert 0 <= record.patch_col <= 18
-        assert record.kind is CorruptionKind.SPLIT_HOLE
-        assert record.budget == 16
-        assert record.seed == 5
+        # a 4x4 hole fits the patch's 6x6 interior: exact, unclamped damage
+        assert record.hamming == 16
+        assert record.clamped is False
+        assert record.within_budget is True  # 16 <= floor(0.25 * 64)
+        assert record.passed is True
+
+    def test_record_holds_only_what_the_trial_measured(self):
+        record = guarantee_trial(
+            8, (20, 26), 0.25, CorruptionModel(CorruptionKind.SPLIT_HOLE, 16, seed=5)
+        )
+        fields = [f.name for f in dataclasses.fields(record)]
+        assert fields == [
+            "patch_row", "patch_col", "hamming", "clamped", "within_budget", "passed"
+        ]
 
     def test_outcome_holds_only_the_damage(self):
         outcome = corrupt_outcome(

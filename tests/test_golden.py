@@ -63,7 +63,7 @@ DIGESTS = {
 }
 # (numpy version, digest): guarantee_trial draws its patch and damage from PCG64.
 TRIAL_DIGEST = (
-    "2.4.6", "a4c147410d69e44354527314511c8ff44f6cb9686e2a2b25dd356129946e24ff"
+    "2.4.6", "3a70329091fc4fccaae05fd73619572a29d261cdfd16e8f1830b52a4c47424b1"
 )
 
 

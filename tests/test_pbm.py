@@ -4,6 +4,8 @@ handling on malformed input, arbitrary bytes included.
 """
 
 import operator
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -221,3 +223,13 @@ class TestAtomicWrite:
         write_pbm(first, path)
         write_pbm(second, path)
         assert np.array_equal(read_pbm(path), second)
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_follows_the_umask(self, rng, tmp_path, umask, mode):
+        path = tmp_path / "out.pbm"
+        old = os.umask(umask)
+        try:
+            write_pbm(random_mask(rng, 4, 4), path)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
