@@ -37,7 +37,7 @@ from .corruption import (
     corrupt_outcome,
     guarantee_trial,
 )
-from .masks import as_int, normalize_sizes
+from .masks import as_gamma, as_int, normalize_sizes
 from .oracle import oracle_complete_multi
 from .pbm import PBMFormatError, atomic_write_bytes, read_pbm, write_pbm
 from .shapes import ShapeKind, generate_shape_mask
@@ -138,21 +138,24 @@ def _cmd_complete(args):
 
 
 def _cmd_oracle(args):
+    # Everything that can fail is checked before the brute force, the slow part.
+    sizes, gamma = _parse_sizes(args.sizes), as_gamma(args.gamma)
+    if not (args.output or args.diff):
+        raise ValueError("oracle needs -o/--output or --diff")
     observed = read_pbm(args.input)
-    sizes = _parse_sizes(args.sizes)
-    out = oracle_complete_multi(observed, sizes, args.gamma)
+    other = read_pbm(args.diff) if args.diff else None
+    if other is not None and other.shape != observed.shape:
+        print(
+            f"MISMATCH: {args.diff} is {other.shape[0]}x{other.shape[1]}, "
+            f"oracle output is {observed.shape[0]}x{observed.shape[1]}",
+            file=sys.stderr,
+        )
+        return 1
+    out = oracle_complete_multi(observed, sizes, gamma)
     if args.output:
         write_pbm(out, args.output, fmt=args.format)
         print(f"wrote {args.output}: popcount {int(np.count_nonzero(out))}")
-    if args.diff:
-        other = read_pbm(args.diff)
-        if other.shape != out.shape:
-            print(
-                f"MISMATCH: {args.diff} is {other.shape[0]}x{other.shape[1]}, "
-                f"oracle output is {out.shape[0]}x{out.shape[1]}",
-                file=sys.stderr,
-            )
-            return 1
+    if other is not None:
         differing = int(np.count_nonzero(other != out))
         if differing:
             print(f"MISMATCH: {differing} differing pixels", file=sys.stderr)
@@ -401,7 +404,3 @@ def main(argv=None) -> int:
 
 def entrypoint():
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entrypoint()

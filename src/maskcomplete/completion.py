@@ -34,7 +34,8 @@ once.  A band's column pass costs ceil(log2(rows + 1)) plane adds over at
 most ``_BAND`` + s_max rows, so the time stays linear in the area, and the
 memory beyond the input and the output is O(W * (_BAND + s_max)), whatever
 the canvas height.  A canvas of up to ``_BAND`` + s_min - 1 rows is one
-band.
+band.  Every pass walks pieces (table, r, c, s): a size s and the table
+rows and cols, entry (0, 0) at pixel (r, c), of the s×s windows to look at.
 
 On a canvas that is one band, a known threshold costs each fitting size
 one ones plane: its accept flags (ones at or above the count the cutoff
@@ -242,20 +243,18 @@ def _summed_area(flags, largest) -> np.ndarray:
 
 
 def _bands(mask, sizes):
-    """The summed-area rows of each band of ``_BAND`` window-corner rows.
+    """The pieces (table, r0, 0, s) of each band of ``_BAND`` window-corner rows.
 
-    Yields (rows, r0, 0, boxes) for the bands' first corner rows r0 = 0,
-    _BAND, ... up to the last corner row of the smallest size, the last
-    band first: rows[i] is the mask's table row r0 + i, for every row a
-    window of ``sizes`` with its corner in rows [r0, r0 + _BAND) needs,
-    and ``boxes`` maps each size with corners in the band to their number
-    of rows n, from the rows' first, in every col the width leaves room
-    for.  The rows live in one buffer of _BAND + max(sizes) rows (fewer on
-    a short canvas) and hold until the next band.  A table row sums the
-    mask from its row down, so the bands are built upward: the rows two
-    bands share are copied from the buffer's top to just below the new
-    rows, where they seed the new rows' column pass, and each table row is
-    built once.
+    The bands' first corner rows r0 = 0, _BAND, ... run up to the last
+    corner row of the smallest size, the last band first, and a band
+    yields one piece per size of ``sizes`` with corners in it, in order:
+    table[i] is the mask's table row r0 + i, and the table holds that
+    size's corner rows in [r0, r0 + _BAND) plus s.  The rows live in one
+    buffer of _BAND + max(sizes) rows (fewer on a short canvas) and hold
+    until the next band.  A table row sums the mask from its row down, so
+    the bands are built upward: the rows two bands share are copied from
+    the buffer's top to just below the new rows, where they seed the new
+    rows' column pass, and each table row is built once.
     """
     if not sizes:
         return
@@ -269,8 +268,9 @@ def _bands(mask, sizes):
             buf[below - r0 : end - r0] = buf[: end - below]
         _fill(buf[: below - r0 + 1], mask[r0:below])
         below = r0
-        boxes = {s: min(_BAND, h - s + 1 - r0) for s in sizes if s <= h - r0}
-        yield buf[: end - r0], r0, 0, boxes
+        for s in sizes:
+            if s <= h - r0:
+                yield buf[: min(_BAND, h - s + 1 - r0) + s], r0, 0, s
 
 
 def _ones(table, s) -> np.ndarray:
@@ -345,34 +345,33 @@ def _union_of_covers(shape, needs, pieces, out):
     """Union of the covers of the windows holding ``needs`` ones, and their counts.
 
     ``needs`` maps sizes to the ones a window must hold to be accepted.
-    ``pieces`` yields (table, r, c, boxes): summed-area rows and columns
-    whose entry (0, 0) sits at pixel (r, c), and for each size the number
-    n of corner rows to look at, from the table's first, in every col the
-    table's width leaves room for.  A size gets one ones plane per piece,
-    its accept flags, their count and, when any flag is set, its cover;
-    the flags are dropped once the cover is built, and nothing outlives
-    the size.  On a canvas of several bands ``out`` is a zero plane of
-    ``shape`` and every cover is ORed into it.  On a canvas of one band it
-    is None: every cover then spans the canvas, the first nonempty one
-    becomes the output, and a zero plane is made only when all are empty.
+    ``pieces`` yields (table, r, c, s): summed-area rows and columns whose
+    entry (0, 0) sits at pixel (r, c), holding the corners of the s×s
+    windows to look at and s rows and cols past them.  Each piece gets
+    one ones plane, its accept flags, their count and, when any flag is
+    set, its cover; the flags are dropped once the cover is built, and
+    nothing outlives the piece.  On a canvas of several bands ``out`` is
+    a zero plane of ``shape`` and every cover is ORed into it.  On a
+    canvas of one band it is None: every cover then spans the canvas, the
+    first nonempty one becomes the output, and a zero plane is made only
+    when all are empty.
     """
     accepted = dict.fromkeys(needs, 0)
-    for table, r, c, boxes in pieces:
-        for s, n in boxes.items():
-            accept = _ones(table[: n + s], s) >= needs[s]
-            count = int(np.count_nonzero(accept))
-            accepted[s] += count
-            cover = _cover(accept, s) if count else None
-            accept = None
-            if cover is None:
-                continue
-            if out is None:
-                out = cover
-                continue
-            h, w = cover.shape
-            part = out[r : r + h, c : c + w]
-            np.bitwise_or(part, cover, out=part)
-            cover = None
+    for table, r, c, s in pieces:
+        accept = _ones(table, s) >= needs[s]
+        count = int(np.count_nonzero(accept))
+        accepted[s] += count
+        cover = _cover(accept, s) if count else None
+        accept = None
+        if cover is None:
+            continue
+        if out is None:
+            out = cover
+            continue
+        h, w = cover.shape
+        part = out[r : r + h, c : c + w]
+        np.bitwise_or(part, cover, out=part)
+        cover = None
     return (np.zeros(shape, np.uint8) if out is None else out), accepted
 
 
@@ -385,37 +384,36 @@ def _runs(counts, s, need):
 
 
 def _candidates(mask, seen, last, needs):
-    """The pieces of a search's second pass: the bands where some window is accepted.
+    """The pieces (table, r, c, s) of a search's second pass: accepted windows.
 
-    ``seen`` holds each band's first corner row and its boxes and largest
-    ones counts per size, from the first pass.  ``last`` is the table of a
-    canvas that is one band, used as it is, or None.  On a taller canvas
-    each accepted size of a band, the last band too, gets a table of its
-    own over the box of its candidate windows, whose corners then fill the
-    table: a window holding ``need`` ones has at least that many in its s
-    rows and in its s cols, so the box is bounded by the mask's row counts
-    in the band and its col counts in the rows the box keeps.  A window's
-    count depends only on the mask inside it, so that table is exact.
-    Each count is summed in the smallest unsigned dtype that holds the
-    number of entries summed.
+    ``seen`` holds a record (r0, s, rows, peak) per first-pass piece: its
+    band's first corner row, size, table row count and largest ones
+    count.  A record whose size has no need, or whose peak falls short of
+    it, is skipped.  ``last`` is the table of a canvas that is one band,
+    used as it is, or None.  On a taller canvas each accepted record, the
+    last band's too, gets a table of its own over the box of its candidate
+    windows, whose corners then fill the table: a window holding ``need``
+    ones has at least that many in its s rows and in its s cols, so the
+    box is bounded by the mask's row counts in the record's rows and its
+    col counts in the rows the box keeps.  A window's count depends only
+    on the mask inside it, so that table is exact.  Each count is summed
+    in the smallest unsigned dtype that holds the number of entries summed.
     """
-    for r0, boxes, peaks in seen:
-        hit = {s: boxes[s] for s in needs if s in boxes and peaks[s] >= needs[s]}
-        if not hit:
+    for r0, s, rows, peak in seen:
+        if s not in needs or peak < needs[s]:
             continue
         if last is not None:
-            yield last, r0, 0, hit
+            yield last, r0, 0, s
             continue
-        slab = mask[r0 : r0 + max(n + s - 1 for s, n in hit.items())]
-        rows = slab.sum(axis=1, dtype=np.min_scalar_type(slab.shape[1]))
-        for s, n in hit.items():
-            i0, i1 = _runs(rows[: n + s - 1], s, needs[s])
-            strip = slab[i0 : i1 + s - 1]
-            cols = strip.sum(axis=0, dtype=np.min_scalar_type(len(strip)))
-            j0, j1 = _runs(cols, s, needs[s])
-            table = _summed_area(strip[:, j0 : j1 + s - 1], s)
-            yield table, r0 + i0, j0, {s: i1 - i0}
-            table = None
+        slab = mask[r0 : r0 + rows - 1]
+        counts = slab.sum(axis=1, dtype=np.min_scalar_type(slab.shape[1]))
+        i0, i1 = _runs(counts, s, needs[s])
+        strip = slab[i0 : i1 + s - 1]
+        cols = strip.sum(axis=0, dtype=np.min_scalar_type(len(strip)))
+        j0, j1 = _runs(cols, s, needs[s])
+        table = _summed_area(strip[:, j0 : j1 + s - 1], s)
+        yield table, r0 + i0, j0, s
+        table = None
 
 
 def _union_at(mask, sizes, gamma):
@@ -522,27 +520,26 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     mask, sizes = as_mask(observed), normalize_sizes(sizes)
     fitting = [s for s in sizes if s <= min(mask.shape)]
     total = int(np.count_nonzero(mask))
-    # One ones plane alive at a time: only each band's maximum is kept.
-    seen, rows = [], None
-    for rows, r0, _, boxes in _bands(mask, fitting):
-        peaks = {s: int(_ones(rows[: n + s], s).max()) for s, n in boxes.items()}
-        seen.append((r0, boxes, peaks))
-    # A taller canvas lets its band buffer go before it makes the output
-    # plane, so the second pass holds the output beside box tables alone,
-    # wherever the accepted windows lie.
-    last, rows = (rows if len(seen) == 1 else None), None
+    # One ones plane alive at a time: only each piece's maximum is kept.
+    seen, table = [], None
+    for table, r0, _, s in _bands(mask, fitting):
+        seen.append((r0, s, len(table), int(_ones(table, s).max())))
+    # Bands come last first, so the first record's starts at row 0 only on a
+    # canvas of one band, whose pieces all hold the whole table.  A taller
+    # canvas lets its band buffer go before it makes the output plane, so the
+    # second pass holds the output beside box tables alone.
+    last, table = (table if seen and seen[0][0] == 0 else None), None
     out = None if last is not None else np.zeros(mask.shape, np.uint8)
-    best = {s: max(p[s] for _, _, p in seen if s in p) for s in fitting}
     rho = min(
-        (Fraction(s * s + total - 2 * ones, s * s) for s, ones in best.items()),
+        (Fraction(s * s + total - 2 * peak, s * s) for _, s, _, peak in seen),
         default=Fraction(1),
     )
     step, gamma = schedule._first_step(rho)
     # A size whose best window lies past the cutoff holds fewer ones than it
-    # needs in every band, so _candidates' per-band test drops it.
+    # needs in every band, so _candidates' per-record test drops it.
     needs = {}
     if gamma is not None:
-        needs = {s: _need(s, total, int(gamma * (s * s))) for s in best}
+        needs = {s: _need(s, total, int(gamma * (s * s))) for s in fitting}
     pieces = _candidates(mask, seen, last, needs)
     union = _union_of_covers(mask.shape, needs, pieces, out)
     return _report(mask, sizes, union, step, gamma)

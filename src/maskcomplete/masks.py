@@ -45,14 +45,15 @@ def as_mask(a) -> np.ndarray:
         raise ValueError(f"mask must be 2-D, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError("mask must have at least one pixel")
-    if arr.dtype == bool:
+    # By kind, not np.issubdtype, which ranks timedelta64 as an integer.
+    kind = arr.dtype.kind
+    if kind == "b":
         return arr.astype(np.uint8)
-    if not np.issubdtype(arr.dtype, np.integer):
+    if kind not in ("i", "u"):
         raise ValueError(f"mask dtype must be integer or bool, got {arr.dtype}")
     # Two reductions, not a boolean plane per comparison; an unsigned
     # dtype needs only the maximum.
-    signed = np.issubdtype(arr.dtype, np.signedinteger)
-    if arr.max() > 1 or (signed and arr.min() < 0):
+    if arr.max() > 1 or (kind == "i" and arr.min() < 0):
         raise ValueError("mask values must be exactly 0 or 1")
     return arr.astype(np.uint8, copy=False)
 

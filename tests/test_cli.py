@@ -316,6 +316,59 @@ class TestOracle:
         assert code == 1
         assert "MISMATCH" in capsys.readouterr().err
 
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the brute force ran")
+
+        monkeypatch.setattr(cli, "oracle_complete_multi", fail)
+
+    def test_nothing_to_do_is_usage_error_before_the_run(
+        self, corrupted_fixture, capsys, no_run
+    ):
+        path, _ = corrupted_fixture
+        assert run_cli("oracle", path, "--sizes", "16", "--gamma", "0.37") == 2
+        assert capsys.readouterr().err == "error: oracle needs -o/--output or --diff\n"
+
+    def test_missing_diff_is_io_error_before_the_run(
+        self, tmp_path, corrupted_fixture, capsys, no_run
+    ):
+        path, _ = corrupted_fixture
+        missing = tmp_path / "missing.pbm"
+        code = run_cli(
+            "oracle", path, "--sizes", "16", "--gamma", "0.37", "--diff", missing
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    def test_diff_shape_mismatch_before_the_run(
+        self, tmp_path, corrupted_fixture, capsys, no_run
+    ):
+        path, _ = corrupted_fixture
+        small, out = tmp_path / "small.pbm", tmp_path / "o.pbm"
+        write_pbm(np.zeros((3, 3), dtype=np.uint8), small)
+        code = run_cli(
+            "oracle", path, "--sizes", "16", "--gamma", "0.37", "-o", out, "--diff", small
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"MISMATCH: {small} is 3x3, oracle output is 48x48\n"
+        )
+        assert not out.exists()
+
+    def test_diff_reads_the_file_as_it_was_before_the_run(
+        self, tmp_path, corrupted_fixture, capsys
+    ):
+        path, _ = corrupted_fixture
+        out = tmp_path / "o.pbm"
+        write_pbm(np.zeros((48, 48), dtype=np.uint8), out)
+        code = run_cli(
+            "oracle", path, "--sizes", "16", "--gamma", "0.37", "-o", out, "--diff", out
+        )
+        assert code == 1 and read_pbm(out).any()
+        assert "MISMATCH" in capsys.readouterr().err
+
     def test_output_file(self, tmp_path, corrupted_fixture):
         path, observed = corrupted_fixture
         out = tmp_path / "oracle.pbm"

@@ -845,6 +845,30 @@ class TestPassCounts:
         assert sum(passes["fills"]) == 40 and passes["tables"] == []
         assert passes["sizes"] == [12] + [12, 16] + [12, 16, 20] * 6
 
+    def test_two_sizes_accepted_in_one_band_get_a_box_table_each(
+        self, passes, monkeypatch
+    ):
+        # A 14×14 square stops the search at step 2, where windows of side
+        # 12 and 16 are accepted.  In bands of 4 corner rows, the band of
+        # rows 8 to 11, which is not the last, holds accepted windows of
+        # both sizes and the band above it of side 16 alone: the second
+        # pass builds one box table per band and size, each over the rows
+        # and cols whose counts could reach that size's need.
+        mask = np.zeros((40, 40), dtype=np.uint8)
+        mask[9:23, 9:23] = 1
+        mask[30, 30] = 1
+        want = gamma_search(mask, (12, 16))
+        monkeypatch.setattr(completion, "_BAND", 4)
+        passes.update(fills=[], tables=[], sizes=[])
+        out, report = gamma_search(mask, (12, 16))
+        assert np.array_equal(out, want[0]) and report == want[1]
+        assert report.iterations_run == 2
+        assert report.per_size_accepted == {12: 9, 16: 21}
+        band_rows = sum(passes["fills"]) - sum(rows for rows, _ in passes["tables"])
+        assert band_rows == 40
+        assert passes["tables"] == [(15, 16), (18, 20), (17, 20)]
+        assert passes["sizes"] == [12] + [12, 16] * 7 + [12, 16] + [16]
+
     def test_cover_is_built_at_one_call_site(self):
         sites = []
         for path in sorted(Path(completion.__file__).parent.glob("*.py")):

@@ -325,6 +325,7 @@ MALFORMED_MASKS = {
     "1-D": [0, 1, 1],
     "3-D": np.zeros((2, 2, 2), dtype=np.uint8),
     "value-2": [[0, 2]],
+    "timedelta": np.array([[0, 1]], dtype="m8[s]"),
 }
 
 # Every entry point that reads a mask, called with size 1 and threshold g.
