@@ -50,12 +50,12 @@ bands whose largest count reaches what a size needs at that threshold
 get a second pass.  On a canvas that is one band it reuses the table; on
 a taller one the band buffer is let go first, and every such band gets a
 small table over the box of its candidate windows, bounded by the mask's
-row and column counts there.  A taller canvas makes its output plane
-once: before the first band at a known threshold, and as the band
-buffer goes in a search.  Either way a call's peak does not depend on
-which bands accept a window.  The geometric schedule is
-inverted for that ratio in closed form, so finding the step costs one
-exact threshold, not a walk over the steps before it.
+row and column counts there.  On a taller canvas the union makes its
+output plane once, before it reads a piece: before the first band at a
+known threshold, and after the band buffer is gone in a search.  Either
+way a call's peak does not depend on which bands accept a window.  The
+geometric schedule is inverted for that ratio in closed form, so finding
+the step costs one exact threshold, not a walk over the steps before it.
 """
 
 import math
@@ -292,15 +292,25 @@ def _ones(table, s) -> np.ndarray:
     return ones
 
 
-def _need(s, total, cutoff) -> int:
-    """Fewest ones an s×s window needs to lie within ``cutoff`` of the mask.
+def _needs(sizes, total, gamma) -> dict:
+    """The fewest ones an s×s window needs at ``gamma``, for each s of ``sizes``.
 
-    With ``total`` ones in the mask, s² + total - 2 * ones <= cutoff iff
-    ones >= ceil((s² + total - cutoff) / 2).  A cutoff below s², which
-    every gamma below 1 gives, needs at least 1; the bound is clamped to
-    s² + 1, which the table's dtype holds, so it compares in that dtype.
+    A window lies within the cutoff floor(gamma * s²) of a mask with
+    ``total`` ones iff s² + total - 2 * ones <= cutoff, that is iff ones >=
+    ceil((s² + total - cutoff) / 2).  A cutoff below s², which every gamma
+    below 1 gives, needs at least 1; the bound is clamped to s² + 1, which
+    the table's dtype holds, so it compares in that dtype.
     """
-    return min((s * s + total - cutoff + 1) // 2, s * s + 1)
+    needs = {}
+    for s in sizes:
+        cutoff = int(gamma * (s * s))
+        needs[s] = min((s * s + total - cutoff + 1) // 2, s * s + 1)
+    return needs
+
+
+def _one_band(mask, sizes) -> bool:
+    """Whether ``sizes`` is empty or its window-corner rows on ``mask`` are one band."""
+    return not sizes or mask.shape[0] - min(sizes) + 1 <= _BAND
 
 
 def _running_or(flat, s, step):
@@ -341,7 +351,7 @@ def _cover(accept, s) -> np.ndarray:
     return plane.view(np.uint8)
 
 
-def _union_of_covers(shape, needs, pieces, out):
+def _union_of_covers(mask, needs, pieces):
     """Union of the covers of the windows holding ``needs`` ones, and their counts.
 
     ``needs`` maps sizes to the ones a window must hold to be accepted.
@@ -350,12 +360,14 @@ def _union_of_covers(shape, needs, pieces, out):
     windows to look at and s rows and cols past them.  Each piece gets
     one ones plane, its accept flags, their count and, when any flag is
     set, its cover; the flags are dropped once the cover is built, and
-    nothing outlives the piece.  On a canvas of several bands ``out`` is
-    a zero plane of ``shape`` and every cover is ORed into it.  On a
-    canvas of one band it is None: every cover then spans the canvas, the
+    nothing outlives the piece.  On a canvas of several bands the zero
+    output plane is made before the first piece is read, and every cover
+    is ORed into it, so the peak does not depend on which pieces accept a
+    window.  On a canvas of one band every cover spans the canvas, the
     first nonempty one becomes the output, and a zero plane is made only
     when all are empty.
     """
+    out = None if _one_band(mask, needs) else np.zeros(mask.shape, np.uint8)
     accepted = dict.fromkeys(needs, 0)
     for table, r, c, s in pieces:
         accept = _ones(table, s) >= needs[s]
@@ -372,7 +384,7 @@ def _union_of_covers(shape, needs, pieces, out):
         part = out[r : r + h, c : c + w]
         np.bitwise_or(part, cover, out=part)
         cover = None
-    return (np.zeros(shape, np.uint8) if out is None else out), accepted
+    return (np.zeros(mask.shape, np.uint8) if out is None else out), accepted
 
 
 def _runs(counts, s, need):
@@ -421,19 +433,12 @@ def _union_at(mask, sizes, gamma):
 
     The sizes of ``sizes`` that fit the mask need the ones the cutoff
     floor(gamma * s**2) leaves them; the others take no pass.  Each size's
-    accept flags come from the ones plane its band already has.  A canvas
-    of several bands gets its zero output plane before the first band, so
-    every band's ones plane and flags are built beside it and the peak
-    does not depend on which bands accept a window.
+    accept flags come from the ones plane its band already has, and a
+    canvas of several bands has its output plane before the first band.
     """
-    total = int(np.count_nonzero(mask))
-    needs = {
-        s: _need(s, total, int(gamma * (s * s))) for s in sizes if s <= min(mask.shape)
-    }
-    out = None
-    if needs and mask.shape[0] - min(needs) + 1 > _BAND:
-        out = np.zeros(mask.shape, np.uint8)
-    return _union_of_covers(mask.shape, needs, _bands(mask, needs), out)
+    fitting = [s for s in sizes if s <= min(mask.shape)]
+    needs = _needs(fitting, int(np.count_nonzero(mask)), gamma)
+    return _union_of_covers(mask, needs, _bands(mask, needs))
 
 
 def complete_single_size(observed, size, gamma) -> np.ndarray:
@@ -524,12 +529,9 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     seen, table = [], None
     for table, r0, _, s in _bands(mask, fitting):
         seen.append((r0, s, len(table), int(_ones(table, s).max())))
-    # Bands come last first, so the first record's starts at row 0 only on a
-    # canvas of one band, whose pieces all hold the whole table.  A taller
-    # canvas lets its band buffer go before it makes the output plane, so the
-    # second pass holds the output beside box tables alone.
-    last, table = (table if seen and seen[0][0] == 0 else None), None
-    out = None if last is not None else np.zeros(mask.shape, np.uint8)
+    # On one band the last piece holds the whole table, which the second pass
+    # reuses; a taller canvas lets the band buffer go before the output plane.
+    last, table = (table if _one_band(mask, fitting) else None), None
     rho = min(
         (Fraction(s * s + total - 2 * peak, s * s) for _, s, _, peak in seen),
         default=Fraction(1),
@@ -537,9 +539,6 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     step, gamma = schedule._first_step(rho)
     # A size whose best window lies past the cutoff holds fewer ones than it
     # needs in every band, so _candidates' per-record test drops it.
-    needs = {}
-    if gamma is not None:
-        needs = {s: _need(s, total, int(gamma * (s * s))) for s in fitting}
-    pieces = _candidates(mask, seen, last, needs)
-    union = _union_of_covers(mask.shape, needs, pieces, out)
+    needs = {} if gamma is None else _needs(fitting, total, gamma)
+    union = _union_of_covers(mask, needs, _candidates(mask, seen, last, needs))
     return _report(mask, sizes, union, step, gamma)

@@ -9,13 +9,13 @@ seeded from the model, so identical inputs give bitwise identical outputs.
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .completion import complete_single_size, distance_cutoff
-from .masks import as_int, as_mask, as_pair
+from .completion import complete_single_size
+from .masks import as_gamma, as_int, as_mask, as_pair
 
 __all__ = [
     "DEFAULT_SEED",
@@ -176,7 +176,7 @@ def guarantee_trial(s, canvas, gamma, model) -> TrialRecord:
     H, W = as_pair(canvas, "canvas", 1)
     if s > H or s > W:
         raise ValueError(f"patch size {s} does not fit a {H}x{W} canvas")
-    cutoff = distance_cutoff(gamma, s)
+    g = as_gamma(gamma)
 
     rng = np.random.default_rng(model.seed)
     row = int(rng.integers(0, H - s + 1))
@@ -185,8 +185,8 @@ def guarantee_trial(s, canvas, gamma, model) -> TrialRecord:
     gt[row : row + s, col : col + s] = 1
 
     sub_seed = int(rng.integers(0, 2**63))
-    outcome = corrupt_outcome(gt, replace(model, seed=sub_seed))
-    completed = complete_single_size(outcome.mask, s, gamma)
+    outcome = corrupt_outcome(gt, CorruptionModel(model.kind, model.budget, sub_seed))
+    completed = complete_single_size(outcome.mask, s, g)
     covered = not np.any(gt & ~completed)
 
     return TrialRecord(
@@ -194,6 +194,6 @@ def guarantee_trial(s, canvas, gamma, model) -> TrialRecord:
         patch_col=col,
         hamming=outcome.hamming,
         clamped=outcome.clamped,
-        within_budget=outcome.hamming <= cutoff,
+        within_budget=outcome.hamming <= int(g * s * s),
         passed=bool(covered),
     )

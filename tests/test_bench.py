@@ -47,6 +47,11 @@ def test_duplicate_sizes_rejected():
         run_benchmark(canvases=(16,), sizes=(4, 4), repeats=1, include_oracle=False)
 
 
+def test_empty_canvas_set_rejected():
+    with pytest.raises(ValueError, match="^at least one canvas is required$"):
+        run_benchmark(canvases=(), sizes=(4,), repeats=1, include_oracle=False)
+
+
 def test_duplicate_canvases_rejected():
     # a repeated canvas would be built and timed twice but reported once
     with pytest.raises(ValueError, match="duplicate canvases"):

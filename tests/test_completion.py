@@ -247,8 +247,10 @@ class TestCandidateField:
             mask = random_mask(rng, H, W, density=float(rng.random()))
             s = int(rng.integers(1, min(H, W) + 1))
             ones, dist = _ones(_summed_area(mask, s), s), window_distances(mask, s)
-            for cutoff in range(s * s + np.count_nonzero(mask) + 2):
-                need = completion._need(s, np.count_nonzero(mask), cutoff)
+            total = int(np.count_nonzero(mask))
+            for cutoff in range(s * s + total + 2):
+                # gamma = cutoff / s² maps back to exactly this cutoff.
+                need = completion._needs([s], total, Fraction(cutoff, s * s))[s]
                 assert 0 <= need <= s * s + 1
                 assert np.array_equal(ones >= need, dist <= cutoff)
 

@@ -367,6 +367,26 @@ class TestMaskArgument:
             with pytest.raises(TypeError, match="^patch size must be an integer"):
                 call(_MASK, 1.5, True)
 
+    @pytest.mark.parametrize("gamma", [0.5, True, 1.0, "0.3", None])
+    @pytest.mark.parametrize("mask", [None, "float-1.5", "1-D", "value-2"])
+    def test_single_size_calls_fail_alike(self, mask, gamma):
+        # The single size goes through as_int, the size set through
+        # normalize_sizes: both say "patch size ..." for every bad size.
+        observed = _MASK if mask is None else MALFORMED_MASKS[mask]
+        calls = {
+            "complete_single_size": complete_single_size,
+            "complete_fixed_gamma": lambda m, s, g: complete_fixed_gamma(m, (s,), g)[0],
+            "oracle_complete_single": oracle_complete_single,
+        }
+        for size in (3, 0, -2, 2.5, True, "3", [3], None, 10**20):
+            outcomes = {}
+            for site, call in calls.items():
+                try:
+                    outcomes[site] = repr(call(observed, size, gamma))
+                except (TypeError, ValueError) as e:
+                    outcomes[site] = f"{type(e).__name__}: {e}"
+            assert len(set(outcomes.values())) == 1, (size, outcomes)
+
     def test_np_asarray_is_called_only_in_masks(self):
         assert _use_sites("np", "asarray", "numpy") == ["masks.as_mask"]
 
