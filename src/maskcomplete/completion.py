@@ -37,18 +37,25 @@ the canvas height.  A canvas of up to ``_BAND`` + s_min - 1 rows is one
 band.  Every pass walks pieces (table, r, c, s): a size s and the table
 rows and cols, entry (0, 0) at pixel (r, c), of the s×s windows to look at.
 
-On a canvas that is one band, a known threshold costs each fitting size
-one ones plane: its accept flags (ones at or above the count the cutoff
-needs), their count and its cover are built from it in one place, shared
-by all three entry points, and ORed into the output; a first cover that
-spans the canvas is the output.  The distance from the observation to
-each window does not depend on gamma, so a search over several
-thresholds first needs only each size's minimum distance d, from its
-largest ones count per band: the first threshold at or above the
-smallest d / s**2 is the first with a nonempty completion.  Only the
-bands whose largest count reaches what a size needs at that threshold
-get a second pass.  On a canvas that is one band it reuses the table; on
-a taller one the band buffer is let go first, and every such band gets a
+A window of side s holds at most min(s**2, total) ones, so its ratio
+d / s**2 is at least LB(s) = |s**2 - total| / s**2, and a size that
+needs more ones than that at a threshold takes no pass (a blank mask
+builds no table).  On a canvas that is one band, a known threshold costs
+each other fitting size one ones plane: its accept flags (ones at or
+above the count the cutoff needs), their count and its cover are built
+from it in one place, shared by all three entry points, and ORed into
+the output; a first cover that spans the canvas is the output.  The
+distance from the observation to each window does not depend on gamma,
+so a search over several thresholds first needs only each size's minimum
+distance d, from its largest ones count per band: the first threshold at
+or above the smallest d / s**2 is the first with a nonempty completion.
+The search runs the sizes with LB(s) below 1, lowest first in each band;
+the threshold the smallest ratio so far picks only falls, so a size it
+puts out of reach skips every later band, but the bands built before the
+patch's still run it, so its passes depend on total.  Only the bands
+whose largest count reaches what a size needs at that threshold get a
+second pass.  On a canvas that is one band it reuses the table; on a
+taller one the band buffer is let go first, and every such band gets a
 small table over the box of its candidate windows, bounded by the mask's
 row and column counts there.  On a taller canvas the union makes its
 output plane once, before it reads a piece: before the first band at a
@@ -432,13 +439,16 @@ def _union_at(mask, sizes, gamma):
     """:func:`_union_of_covers` at a known threshold, in one banded pass.
 
     The sizes of ``sizes`` that fit the mask need the ones the cutoff
-    floor(gamma * s**2) leaves them; the others take no pass.  Each size's
-    accept flags come from the ones plane its band already has, and a
-    canvas of several bands has its output plane before the first band.
+    floor(gamma * s**2) leaves them; the others, and those that need more
+    than min(s**2, total), take no pass.  Each size's accept flags come
+    from the ones plane its band already has, and a canvas of several
+    bands has its output plane before the first band.
     """
     fitting = [s for s in sizes if s <= min(mask.shape)]
-    needs = _needs(fitting, int(np.count_nonzero(mask)), gamma)
-    return _union_of_covers(mask, needs, _bands(mask, needs))
+    total = int(np.count_nonzero(mask))
+    needs = _needs(fitting, total, gamma)
+    live = [s for s in fitting if needs[s] <= min(s * s, total)]
+    return _union_of_covers(mask, needs, _bands(mask, live))
 
 
 def complete_single_size(observed, size, gamma) -> np.ndarray:
@@ -516,7 +526,10 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     distance to s**2 therefore decides the search, and no gamma below 1
     reaches a ratio of 1 (a blank mask, or no size fits).  Only the bands
     and sizes some window of which is accepted at the chosen threshold get
-    a second ones pass and a cover.
+    a second ones pass and a cover.  No ratio of size s is below
+    LB(s) = |s**2 - total| / s**2, so the first pass runs the sizes with
+    LB(s) < 1, lowest first in each band, and skips a size from the band on
+    where rho's step puts it out of reach, which no later band undoes.
 
     Returns
     -------
@@ -525,20 +538,26 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     mask, sizes = as_mask(observed), normalize_sizes(sizes)
     fitting = [s for s in sizes if s <= min(mask.shape)]
     total = int(np.count_nonzero(mask))
-    # One ones plane alive at a time: only each piece's maximum is kept.
-    seen, table = [], None
-    for table, r0, _, s in _bands(mask, fitting):
-        seen.append((r0, s, len(table), int(_ones(table, s).max())))
+    live = [s for s in fitting if abs(s * s - total) < s * s]
+    live.sort(key=lambda s: abs(s * s - total) / (s * s))
+    # One ones plane alive at a time: only each piece's maximum is kept, and
+    # rho = d / area is the smallest ratio so far.
+    seen, table, d, area = [], None, 1, 1
+    step, gamma, needs = schedule.t_max, None, {}
+    for table, r0, _, s in _bands(mask, live):
+        if needs.get(s, 0) > min(s * s, total):
+            continue
+        peak = int(_ones(table, s).max())
+        seen.append((r0, s, len(table), peak))
+        dist = s * s + total - 2 * peak
+        if dist * area < d * s * s:
+            d, area = dist, s * s
+            step, gamma = schedule._first_step(Fraction(d, area))
+            needs = {} if gamma is None else _needs(fitting, total, gamma)
     # On one band the last piece holds the whole table, which the second pass
     # reuses; a taller canvas lets the band buffer go before the output plane.
     last, table = (table if _one_band(mask, fitting) else None), None
-    rho = min(
-        (Fraction(s * s + total - 2 * peak, s * s) for _, s, _, peak in seen),
-        default=Fraction(1),
-    )
-    step, gamma = schedule._first_step(rho)
     # A size whose best window lies past the cutoff holds fewer ones than it
     # needs in every band, so _candidates' per-record test drops it.
-    needs = {} if gamma is None else _needs(fitting, total, gamma)
     union = _union_of_covers(mask, needs, _candidates(mask, seen, last, needs))
     return _report(mask, sizes, union, step, gamma)

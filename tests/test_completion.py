@@ -33,6 +33,7 @@ from maskcomplete.cli import main as cli_main
 from maskcomplete.completion import _cover, _ones, _summed_area
 from maskcomplete.masks import normalize_sizes
 from maskcomplete.oracle import (
+    _window_distances,
     oracle_complete_multi,
     oracle_complete_single,
     oracle_min_distance,
@@ -790,26 +791,50 @@ class TestPassCounts:
         assert complete_single_size(mask, 12, 0.3).any()
         assert passes == {"fills": [40], "tables": [], "sizes": [12]}
 
-    def test_fixed_gamma_makes_one_pass_per_fitting_size(self, passes):
+    def test_fixed_gamma_makes_one_pass_per_size_that_can_accept(self, passes):
+        # 144 ones: a window of side 4 holds at most 16 of them and one of
+        # side 16 at most 144 of its 256, so neither comes within the
+        # cutoff at 0.3 (|s² - 144| / s² is 8 and 0.44) and neither runs.
         mask = np.zeros((40, 40), dtype=np.uint8)
         mask[5:17, 9:21] = 1
         _, report = complete_fixed_gamma(mask, (4, 12, 16, 50), 0.3)
         assert report.per_size_accepted == {4: 0, 12: 5, 16: 0, 50: 0}
-        assert passes == {"fills": [40], "tables": [], "sizes": [4, 12, 16]}
+        assert passes == {"fills": [40], "tables": [], "sizes": [12]}
 
     def test_search_repeats_only_the_sizes_accepted_at_the_stop(self, passes):
         mask = np.zeros((40, 40), dtype=np.uint8)
         mask[5:17, 9:21] = 1
         mask[30, 30] = 1
+        # 145 ones: s=12 runs first, as its bound |s² - 145| / s² is the
+        # lowest, and its ratio 1/144 stops the search at gamma_1 = 1/10,
+        # where no window of side 16 or 20 can hold the ones it needs.
         _, report = gamma_search(mask, (12, 16, 20, 50))
         assert report.iterations_run == 1
         assert report.per_size_accepted == {12: 1, 16: 0, 20: 0, 50: 0}
-        assert passes == {"fills": [40], "tables": [], "sizes": [12, 16, 20, 12]}
+        assert passes == {"fills": [40], "tables": [], "sizes": [12, 12]}
 
     def test_search_on_a_blank_mask_makes_only_the_minimum_passes(self, passes):
         _, report = gamma_search(np.zeros((40, 40), dtype=np.uint8), (12, 16, 50))
         assert not report.attack_found
-        assert passes == {"fills": [40], "tables": [], "sizes": [12, 16]}
+        assert passes == {"fills": [], "tables": [], "sizes": []}
+
+    @pytest.mark.parametrize("band", [256, 4])
+    def test_blank_mask_builds_no_table(self, passes, monkeypatch, band):
+        # Every window of a blank mask lies at distance s² from it, a ratio
+        # of 1 that no threshold below 1 reaches, so no entry point runs a
+        # size, whether the canvas is one band or ten.
+        monkeypatch.setattr(completion, "_BAND", band)
+        mask = np.zeros((40, 30), dtype=np.uint8)
+        none = dict(per_size_accepted={12: 0, 16: 0, 50: 0}, skipped_sizes=(50,))
+        out, report = gamma_search(mask, (12, 16, 50))
+        assert out.dtype == np.uint8 and out.shape == mask.shape and not out.any()
+        assert report == CompletionReport(False, None, 15, **none)
+        out, report = complete_fixed_gamma(mask, (12, 16, 50), 0.9)
+        assert out.dtype == np.uint8 and out.shape == mask.shape and not out.any()
+        assert report == CompletionReport(False, None, 1, **none)
+        out = complete_single_size(mask, 12, 0.9)
+        assert out.dtype == np.uint8 and out.shape == mask.shape and not out.any()
+        assert passes == {"fills": [], "tables": [], "sizes": []}
 
     def test_no_fitting_size_builds_no_table(self, passes):
         mask = np.zeros((2048, 50), dtype=np.uint8)
@@ -829,9 +854,13 @@ class TestPassCounts:
         # Bands of 4 corner rows, built from the bottom up: s=12 has corners
         # in all 8 bands up to row 28, s=16 in 7 and s=20 in 6, so the last
         # band holds s=12 alone and the one above it s=12 and s=16.  The
-        # search accepts one 12×12 window in band 1, which is not the last:
-        # its second pass builds one box table over the rows and cols whose
-        # counts could reach the need, here the window alone.
+        # sizes run in the order of their bound |s² - 145| / s², 12, 16, 20.
+        # In the band of rows 8 to 11, 12's ratio 73/144 leaves s=20 out of
+        # reach, and in band 1 its ratio 1/144 leaves s=16 out too, so those
+        # sizes skip the bands from there up.  The search accepts one 12×12
+        # window in band 1, which is not the last: its second pass builds
+        # one box table over the rows and cols whose counts could reach the
+        # need, here the window alone.  At a fixed 0.3 only s=12 can accept.
         monkeypatch.setattr(completion, "_BAND", 4)
         mask = np.zeros((40, 40), dtype=np.uint8)
         mask[5:17, 9:21] = 1
@@ -841,11 +870,13 @@ class TestPassCounts:
         band_rows = sum(passes["fills"]) - sum(rows for rows, _ in passes["tables"])
         assert band_rows == 40
         assert passes["tables"] == [(12, 12)]
-        assert passes["sizes"] == [12] + [12, 16] + [12, 16, 20] * 6 + [12]
+        assert passes["sizes"] == (
+            [12] + [12, 16] + [12, 16, 20] * 3 + [12, 16] + [12] * 2 + [12]
+        )
         passes.update(fills=[], tables=[], sizes=[])
         complete_fixed_gamma(mask, (12, 16, 20, 50), 0.3)
         assert sum(passes["fills"]) == 40 and passes["tables"] == []
-        assert passes["sizes"] == [12] + [12, 16] + [12, 16, 20] * 6
+        assert passes["sizes"] == [12] * 8
 
     def test_two_sizes_accepted_in_one_band_get_a_box_table_each(
         self, passes, monkeypatch
@@ -855,7 +886,9 @@ class TestPassCounts:
         # rows 8 to 11, which is not the last, holds accepted windows of
         # both sizes and the band above it of side 16 alone: the second
         # pass builds one box table per band and size, each over the rows
-        # and cols whose counts could reach that size's need.
+        # and cols whose counts could reach that size's need.  With 197
+        # ones, s=16 has the lower bound |s² - 197| / s², so it runs first
+        # in each band it shares with s=12.
         mask = np.zeros((40, 40), dtype=np.uint8)
         mask[9:23, 9:23] = 1
         mask[30, 30] = 1
@@ -868,8 +901,8 @@ class TestPassCounts:
         assert report.per_size_accepted == {12: 9, 16: 21}
         band_rows = sum(passes["fills"]) - sum(rows for rows, _ in passes["tables"])
         assert band_rows == 40
-        assert passes["tables"] == [(15, 16), (18, 20), (17, 20)]
-        assert passes["sizes"] == [12] + [12, 16] * 7 + [12, 16] + [16]
+        assert passes["tables"] == [(18, 20), (15, 16), (17, 20)]
+        assert passes["sizes"] == [12] + [16, 12] * 7 + [16, 12] + [16]
 
     def test_cover_is_built_at_one_call_site(self):
         sites = []
@@ -1046,6 +1079,93 @@ class TestBands:
         for (a, ra), (b, rb) in zip(got[:2], want[:2]):
             assert np.array_equal(a, b) and ra == rb
         assert np.array_equal(got[2][0], want[2][0])
+
+
+class TestSizeBound:
+    """A window of side s holds at most min(s², total) ones, so its ratio is
+    at least |s² - total| / s²; the sizes that bound rules out take no pass,
+    and the search's output and report stay the oracle's."""
+
+    @staticmethod
+    def oracle_search(mask, sizes, schedule):
+        """:func:`gamma_search`'s output and report for sizes that all fit, from
+        the oracle alone."""
+        bits = mask.tolist()
+        d_min = {s: oracle_min_distance(mask, s)[0] for s in sizes}
+        for t in range(1, schedule.t_max + 1):
+            g = schedule.gamma(t)
+            if any(d <= int(g * s * s) for s, d in d_min.items()):
+                out = oracle_complete_multi(mask, sizes, g)
+                accepted = {
+                    s: sum(d <= int(g * s * s) for *_, d in _window_distances(bits, s))
+                    for s in sizes
+                }
+                popcount = int(np.count_nonzero(out))
+                return out, CompletionReport(True, float(g), t, accepted, (), popcount)
+        accepted = dict.fromkeys(sizes, 0)
+        return np.zeros_like(mask), CompletionReport(False, None, t, accepted)
+
+    def test_pruned_searches_match_the_oracle_across_bands(self, monkeypatch):
+        # Damaged patches of one of the two larger sizes, with strays, in
+        # bands of 4 corner rows.  A size with total >= 2·s² never runs, and
+        # once a band's ratio sets a low threshold the sizes it leaves out
+        # of reach skip the bands above.
+        calls, ones, candidates = [], completion._ones, completion._candidates
+
+        def counted_ones(table, s):
+            calls.append(s)
+            return ones(table, s)
+
+        def second_pass(*args):
+            calls.append(None)
+            yield from candidates(*args)
+
+        monkeypatch.setattr(completion, "_ones", counted_ones)
+        monkeypatch.setattr(completion, "_candidates", second_pass)
+        monkeypatch.setattr(completion, "_BAND", 4)
+        dropped = cut = 0
+        for k in range(20):
+            rng = np.random.default_rng([28, k])
+            H, W = (int(v) for v in rng.integers(20, 41, 2))
+            pool = rng.choice(np.arange(2, 19), 4, replace=False)
+            sizes = sorted(int(v) for v in pool)
+            side = sizes[2 + k % 2]
+            flips = int(rng.integers(0, side * side // 3))
+            mask = planted_patch(rng, H, W, side, flips)
+            mask.flat[rng.choice(H * W, k % 4, replace=False)] = 1
+            total = int(np.count_nonzero(mask))
+            calls.clear()
+            out, report = gamma_search(mask, sizes)
+            want, want_report = self.oracle_search(mask, sizes, GammaSchedule())
+            assert np.array_equal(out, want) and report == want_report
+            first = calls[: calls.index(None)]
+            for s in sizes:
+                bands = len(range(0, H - s + 1, 4))
+                assert first.count(s) <= bands
+                if total >= 2 * s * s:
+                    assert first.count(s) == 0
+                    dropped += 1
+                cut += 0 < first.count(s) < bands
+        assert dropped and cut
+
+    @pytest.mark.parametrize("band", [256, 4])
+    def test_a_size_whose_bound_meets_the_threshold_still_runs(self, monkeypatch, band):
+        # A clean 12×12 patch: a 16×16 window holds at most its 144 ones, at
+        # distance 112 = floor(7/16 · 256), so at gamma 7/16, the first step
+        # of alpha = 9/16, the windows that hold the whole patch are
+        # accepted.  The need of s=16 equals min(s², total) there.
+        monkeypatch.setattr(completion, "_BAND", band)
+        mask = np.zeros((40, 40), dtype=np.uint8)
+        mask[9:21, 9:21] = 1
+        schedule = GammaSchedule(alpha=0.5625)
+        out, report = gamma_search(mask, (12, 16), schedule)
+        want, want_report = self.oracle_search(mask, (12, 16), schedule)
+        assert np.array_equal(out, want) and report == want_report
+        assert report.gamma_used == 7 / 16
+        assert report.per_size_accepted == {12: 13, 16: 25}
+        out, report = complete_fixed_gamma(mask, (12, 16), Fraction(7, 16))
+        assert np.array_equal(out, want)
+        assert report.per_size_accepted == {12: 13, 16: 25}
 
 
 _EVERY_4X4 = np.unpackbits(np.arange(65536, dtype=">u2").view(np.uint8)).reshape(-1, 4, 4)
