@@ -7,10 +7,14 @@ does.  Writes go through a temp-file-then-rename so readers never observe
 a half-written file.
 
 One regular expression tokenizes the header.  Each raster is decoded by
-operations on the whole byte string: a P1 raster loses its comments and
-whitespace, must then hold only ``0`` and ``1`` (the first other byte is
-reported), and each digit's low bit is its pixel; a P4 raster is unpacked
-to exactly W columns.  Both return a C-contiguous uint8 array.
+operations on the whole byte string.  A P1 raster loses its comments and
+its newlines, and an XOR with ``0`` maps each digit to its pixel and any
+other byte above 1; only a raster left with such a byte has its other
+whitespace deleted, and then the first byte that is not ``0`` or ``1`` is
+reported.  A P4 raster is unpacked to exactly W columns.  Both return a
+C-contiguous uint8 array.  The P1 writer fills one buffer in place: the
+header, then each row as lines of 64 digits and a tail line, each digit
+added to ``0`` and each line ended by a newline through strided views.
 """
 
 import contextlib
@@ -47,9 +51,18 @@ def encode_pbm(mask, fmt="P4") -> bytes:
         return header + np.packbits(m, axis=1).tobytes()
     if fmt == "P1":
         # A newline after every 64 digits and at each row's end keeps
-        # plain-format lines within the traditional 70-char limit.
-        breaks = [*range(64, W, 64), W]
-        return header + np.insert(m + ord("0"), breaks, ord("\n"), axis=1).tobytes()
+        # plain-format lines within the traditional 70-char limit: a row
+        # is k full lines of 65 bytes, then a tail line of 1-64 digits.
+        k = (W - 1) // 64
+        buf = np.empty(len(header) + H * (W + k + 1), np.uint8)
+        buf[: len(header)] = np.frombuffer(header, np.uint8)
+        rows = buf[len(header) :].reshape(H, W + k + 1)
+        lines = rows[:, : 65 * k].reshape(H, k, 65)
+        np.add(m[:, : 64 * k].reshape(H, k, 64), ord("0"), out=lines[:, :, :64])
+        lines[:, :, 64] = ord("\n")
+        np.add(m[:, 64 * k :], ord("0"), out=rows[:, 65 * k : -1])
+        rows[:, -1] = ord("\n")
+        return buf.tobytes()
     raise ValueError(f"format must be 'P1' or 'P4', got {fmt!r}")
 
 
@@ -85,20 +98,30 @@ def decode_pbm(data: bytes) -> np.ndarray:
 
     if magic == b"P1":
         # One name for every stage, so each copy is freed once the next is
-        # made; the comment pass runs only when the raster holds a comment.
+        # made; the comment and whitespace passes run only when needed.
         digits = data[pos:]
         if b"#" in digits:
             digits = re.sub(rb"#[^\n]*", b"", digits)
-        digits = digits.translate(None, _WHITESPACE)
-        junk = digits.translate(None, b"01")
-        if junk:
-            raise PBMFormatError(f"unexpected byte {junk[:1]!r} in P1 raster")
-        if len(digits) != width * height:
+        digits = digits.replace(b"\n", b"")
+        # b"0" is 0x30 and b"1" is 0x31: XOR with 0x30 maps each digit to its
+        # pixel and every other byte above 1.
+        pixels = np.frombuffer(digits, np.uint8) ^ ord("0")
+        if pixels.max(initial=0) > 1:
+            # Other whitespace, or junk: free these pixels, delete the
+            # whitespace, and report the first byte still above 1.
+            del pixels
+            digits = digits.translate(None, _WHITESPACE)
+            pixels = np.frombuffer(digits, np.uint8) ^ ord("0")
+            if pixels.max(initial=0) > 1:
+                at = int(np.argmax(pixels > 1))
+                raise PBMFormatError(
+                    f"unexpected byte {digits[at : at + 1]!r} in P1 raster"
+                )
+        if pixels.size != width * height:
             raise PBMFormatError(
-                f"P1 raster holds {len(digits)} bits, expected {width * height}"
+                f"P1 raster holds {pixels.size} bits, expected {width * height}"
             )
-        # b"0" is 0x30 and b"1" is 0x31: a digit's low bit is its pixel.
-        return (np.frombuffer(digits, np.uint8) & 1).reshape(height, width)
+        return pixels.reshape(height, width)
 
     # P4: a single whitespace byte, any the tokenizer skips, separates the
     # header from the raster.

@@ -5,6 +5,7 @@ handling on malformed input, arbitrary bytes included.
 
 import operator
 import os
+import re
 import stat
 import tracemalloc
 
@@ -90,6 +91,81 @@ class TestRoundTrip:
             tracemalloc.stop()
         assert np.array_equal(out, mask)
         assert peak <= 2.1 * 512 * 512
+
+    def test_p1_writer_peak_is_two_planes(self, rng):
+        # The filled buffer beside the bytes made from it, and nothing more:
+        # no digit plane and no copy for the header.
+        mask = random_mask(rng, 512, 512)
+        tracemalloc.start()
+        try:
+            data = encode_pbm(mask, "P1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data == _p1_reference(mask)
+        assert peak <= 2.1 * 512 * 512
+
+
+def _p1_reference(mask):
+    """The P1 bytes of ``mask``: each row as lines of 64 digits, then the rest."""
+    height, width = mask.shape
+    rows = []
+    for row in mask.tolist():
+        digits = "".join(str(v) for v in row)
+        rows.append("\n".join(digits[i : i + 64] for i in range(0, width, 64)))
+    return f"P1\n{width} {height}\n".encode() + "".join(r + "\n" for r in rows).encode()
+
+
+class TestP1Layout:
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 127, 128, 129, 512])
+    def test_lines_of_64_digits(self, rng, width):
+        mask = random_mask(rng, 3, width)
+        assert encode_pbm(mask, "P1") == _p1_reference(mask)
+
+    @pytest.mark.parametrize("width", [65, 129])
+    def test_bool_and_strided_masks(self, rng, width):
+        mask = random_mask(rng, 4, width)
+        want = _p1_reference(mask)
+        assert encode_pbm(mask.astype(bool), "P1") == want
+        assert encode_pbm(np.asfortranarray(mask), "P1") == want
+        assert encode_pbm(np.repeat(mask, 2, axis=1)[:, ::2], "P1") == want
+
+
+class TestP1DecoderStages:
+    @pytest.mark.parametrize(
+        "sep", [b"\r\n", b"\t", b"\x0b", b"\x0c", b" \t\x0b\x0c\r"], ids=repr
+    )
+    def test_other_whitespace_between_digits(self, rng, sep):
+        mask = random_mask(rng, 3, 70)
+        raster = b"\n".join(sep.join(b"%d" % v for v in row) for row in mask.tolist())
+        assert np.array_equal(decode_pbm(b"P1\n70 3\n" + raster + b"\r\n"), mask)
+
+    def test_crlf_line_ends(self, rng):
+        mask = random_mask(rng, 5, 130)
+        data = encode_pbm(mask, "P1").replace(b"\n", b"\r\n")
+        assert np.array_equal(decode_pbm(data), mask)
+
+    @pytest.mark.parametrize("raster", [b"", b"\n", b"\n\n\n\n"], ids=repr)
+    def test_newlines_only_hold_no_bits(self, raster):
+        with pytest.raises(PBMFormatError, match="P1 raster holds 0 bits, expected 6"):
+            decode_pbm(b"P1\n3 2\n" + raster)
+
+    @pytest.mark.parametrize(
+        "raster,byte",
+        [
+            (b"101\n0x1\n", b"x"),
+            (b"10\n1\nq0y1\n", b"q"),
+            (b"101\n01\n\xff", b"\xff"),
+            (b"1 0\t1\r\n0\x0b\x0c?1 z\n", b"?"),
+            (b"1\r\n0 1\t0\n\x001\n", b"\x00"),
+            (b"1 0 1 0 1 0 2", b"2"),
+        ],
+        ids=repr,
+    )
+    def test_first_junk_byte_is_reported(self, raster, byte):
+        # Junk is reported before the length, whatever the separators.
+        with pytest.raises(PBMFormatError, match=re.escape(f"unexpected byte {byte!r}")):
+            decode_pbm(b"P1\n3 2\n" + raster)
 
 
 class TestLenientParsing:
