@@ -19,7 +19,7 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -81,6 +81,14 @@ def _write_report(path, command, **sections):
     atomic_write_bytes(path, (json.dumps(doc, indent=2) + "\n").encode("utf-8"))
 
 
+def _fields(record):
+    """A dataclass's fields as a dict that shares their values.
+
+    ``dataclasses.asdict`` deep-copies every value; a report only reads them.
+    """
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def _input_descriptor(path, mask):
     return {
         "path": str(path),
@@ -101,7 +109,7 @@ def _cmd_complete(args):
         params = {"fixed_gamma": args.fixed_gamma}
     else:
         completed, report = gamma_search(observed, sizes, schedule)
-        params = asdict(schedule)
+        params = _fields(schedule)
 
     out, written = completed, report.output_popcount
     if args.union_ps:
@@ -121,7 +129,7 @@ def _cmd_complete(args):
                 "union_ps": args.union_ps,
                 "format": args.format,
             },
-            result={**asdict(report), "output_path": str(args.output)},
+            result={**_fields(report), "output_path": str(args.output)},
             written_popcount=written,
             wall_time_ms=round((time.perf_counter() - start) * 1e3, 3),
         )
@@ -185,7 +193,7 @@ def _cmd_corrupt(args):
             "corrupt",
             mask_convention=MASK_CONVENTION,
             input=_input_descriptor(args.input, observed),
-            model={**asdict(model), "kind": model.kind.value, "generator": "pcg64"},
+            model={**_fields(model), "kind": model.kind.value, "generator": "pcg64"},
             hamming=outcome.hamming,
             clamped=outcome.clamped,
             output_path=str(args.output),

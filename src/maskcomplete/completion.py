@@ -51,18 +51,30 @@ distance d, from its largest ones count per band: the first threshold at
 or above the smallest d / s**2 is the first with a nonempty completion.
 The search runs the sizes with LB(s) below 1, lowest first in each band;
 the threshold the smallest ratio so far picks only falls, so a size it
-puts out of reach skips every later band, but the bands built before the
-patch's still run it, so its passes depend on total.  Only the bands
-whose largest count reaches what a size needs at that threshold get a
-second pass.  On a canvas that is one band it reuses the table; on a
-taller one the band buffer is let go first, and every such band gets a
-small table over the box of its candidate windows, bounded by the mask's
-row and column counts there.  On a taller canvas the union makes its
-output plane once, before it reads a piece: before the first band at a
-known threshold, and after the band buffer is gone in a search.  Either
-way a call's peak does not depend on which bands accept a window.  The
+puts out of reach skips every later band.  Only the bands whose largest
+count reaches what a size needs at that threshold get a second pass.  The
 geometric schedule is inverted for that ratio in closed form, so finding
 the step costs one exact threshold, not a walk over the steps before it.
+
+A search runs both passes on a block of the mask, not the canvas.  A live
+size has total >= 1, and every need is at least 1, so every window either
+pass looks at, each size's best and every accepted one, holds a one and
+lies within s_max - 1 of the ones' bounding box, s_max the largest live
+size.  The block is that box grown by s_max - 1 on every side and
+clamped to the canvas: every live size fits it, every window that holds
+a one is one of its windows, and each piece's (r, c) is moved by the
+block's offset.  A patch's search builds only its block's rows, and a
+mask whose ones span the canvas gets the canvas.  A known threshold
+keeps the whole canvas.  On a block that is one band the second pass
+reuses the table; on a taller one the band buffer is let go first, and
+every such band gets a small table over the box of its candidate
+windows, bounded by the mask's row and column counts there.  On a taller
+block the union makes its output plane once, before it reads a piece:
+before the first band at a known threshold, and after the band buffer is
+gone in a search.  On a block that is one band its first cover becomes
+the output when the block is the canvas, and is otherwise ORed into a
+zero plane made then.  Either way a call's peak does not depend on which
+bands of its block accept a window.
 """
 
 import math
@@ -358,23 +370,24 @@ def _cover(accept, s) -> np.ndarray:
     return plane.view(np.uint8)
 
 
-def _union_of_covers(mask, needs, pieces):
+def _union_of_covers(mask, block, needs, pieces):
     """Union of the covers of the windows holding ``needs`` ones, and their counts.
 
     ``needs`` maps sizes to the ones a window must hold to be accepted.
-    ``pieces`` yields (table, r, c, s): summed-area rows and columns whose
-    entry (0, 0) sits at pixel (r, c), holding the corners of the s×s
-    windows to look at and s rows and cols past them.  Each piece gets
-    one ones plane, its accept flags, their count and, when any flag is
-    set, its cover; the flags are dropped once the cover is built, and
-    nothing outlives the piece.  On a canvas of several bands the zero
-    output plane is made before the first piece is read, and every cover
-    is ORed into it, so the peak does not depend on which pieces accept a
-    window.  On a canvas of one band every cover spans the canvas, the
-    first nonempty one becomes the output, and a zero plane is made only
-    when all are empty.
+    ``pieces`` yields (table, r, c, s): summed-area rows and columns of
+    ``block``, a block of ``mask``, whose entry (0, 0) sits at pixel (r,
+    c) of ``mask``, holding the corners of the s×s windows to look at and
+    s rows and cols past them.  Each piece gets one ones plane, its accept
+    flags, their count and, when any flag is set, its cover; the flags are
+    dropped once the cover is built, and nothing outlives the piece.  When
+    ``block`` is several bands tall the zero output plane is made before
+    the first piece is read, and every cover is ORed into it, so the peak
+    does not depend on which pieces accept a window.  When it is one band
+    every cover spans it: the first nonempty one becomes the output when
+    ``block`` is the canvas, and is otherwise ORed into a zero plane made
+    then.  With every cover empty the output is a zero plane made last.
     """
-    out = None if _one_band(mask, needs) else np.zeros(mask.shape, np.uint8)
+    out = None if _one_band(block, needs) else np.zeros(mask.shape, np.uint8)
     accepted = dict.fromkeys(needs, 0)
     for table, r, c, s in pieces:
         accept = _ones(table, s) >= needs[s]
@@ -385,8 +398,10 @@ def _union_of_covers(mask, needs, pieces):
         if cover is None:
             continue
         if out is None:
-            out = cover
-            continue
+            if cover.shape == mask.shape:
+                out = cover
+                continue
+            out = np.zeros(mask.shape, np.uint8)
         h, w = cover.shape
         part = out[r : r + h, c : c + w]
         np.bitwise_or(part, cover, out=part)
@@ -402,14 +417,16 @@ def _runs(counts, s, need):
     return int(starts[0]), int(starts[-1]) + 1
 
 
-def _candidates(mask, seen, last, needs):
+def _candidates(mask, r, c, seen, last, needs):
     """The pieces (table, r, c, s) of a search's second pass: accepted windows.
 
+    ``mask`` is the block the search runs on, whose entry (0, 0) sits at
+    pixel (r, c) of the canvas, and each piece's (r, c) is a canvas pixel.
     ``seen`` holds a record (r0, s, rows, peak) per first-pass piece: its
     band's first corner row, size, table row count and largest ones
     count.  A record whose size has no need, or whose peak falls short of
-    it, is skipped.  ``last`` is the table of a canvas that is one band,
-    used as it is, or None.  On a taller canvas each accepted record, the
+    it, is skipped.  ``last`` is the table of a block that is one band,
+    used as it is, or None.  On a taller block each accepted record, the
     last band's too, gets a table of its own over the box of its candidate
     windows, whose corners then fill the table: a window holding ``need``
     ones has at least that many in its s rows and in its s cols, so the
@@ -422,7 +439,7 @@ def _candidates(mask, seen, last, needs):
         if s not in needs or peak < needs[s]:
             continue
         if last is not None:
-            yield last, r0, 0, s
+            yield last, r + r0, c, s
             continue
         slab = mask[r0 : r0 + rows - 1]
         counts = slab.sum(axis=1, dtype=np.min_scalar_type(slab.shape[1]))
@@ -431,8 +448,25 @@ def _candidates(mask, seen, last, needs):
         cols = strip.sum(axis=0, dtype=np.min_scalar_type(len(strip)))
         j0, j1 = _runs(cols, s, needs[s])
         table = _summed_area(strip[:, j0 : j1 + s - 1], s)
-        yield table, r0 + i0, j0, s
+        yield table, r + r0 + i0, c + j0, s
         table = None
+
+
+def _crop(mask, grow):
+    """The block of ``mask`` around its ones, and the pixel (r, c) of its entry (0, 0).
+
+    The block is a view: the ones' bounding box grown by ``grow`` on every
+    side and clamped to the canvas.  ``mask`` must hold a one.  The first
+    and last one of its raster give the box's rows, and one OR down the
+    rows between them marks its cols.
+    """
+    h, w = mask.shape
+    raster = mask.tobytes()
+    i0, i1 = raster.find(1) // w, raster.rfind(1) // w + 1
+    cols = np.bitwise_or.reduce(mask[i0:i1], axis=0).tobytes()
+    j0, j1 = cols.find(1), cols.rfind(1) + 1
+    r, c = max(i0 - grow, 0), max(j0 - grow, 0)
+    return mask[r : min(i1 + grow, h), c : min(j1 + grow, w)], r, c
 
 
 def _union_at(mask, sizes, gamma):
@@ -448,7 +482,7 @@ def _union_at(mask, sizes, gamma):
     total = int(np.count_nonzero(mask))
     needs = _needs(fitting, total, gamma)
     live = [s for s in fitting if needs[s] <= min(s * s, total)]
-    return _union_of_covers(mask, needs, _bands(mask, live))
+    return _union_of_covers(mask, mask, needs, _bands(mask, live))
 
 
 def complete_single_size(observed, size, gamma) -> np.ndarray:
@@ -531,6 +565,13 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     LB(s) < 1, lowest first in each band, and skips a size from the band on
     where rho's step puts it out of reach, which no later band undoes.
 
+    A size with LB(s) < 1 has total >= 1, and every need is at least 1, so
+    each window either pass looks at holds a one.  Both passes therefore
+    run on the block of the mask that holds the ones' bounding box grown
+    by max(live) - 1 on every side, clamped to the canvas: the search
+    builds tables only around the patch, and a mask whose ones span the
+    canvas searches the whole of it, as without the crop.
+
     Returns
     -------
     (ndarray, CompletionReport)
@@ -540,11 +581,14 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     total = int(np.count_nonzero(mask))
     live = [s for s in fitting if abs(s * s - total) < s * s]
     live.sort(key=lambda s: abs(s * s - total) / (s * s))
+    # Every window either pass looks at holds a one, so it lies in the block
+    # of the ones' box grown by the largest live side less 1.
+    block, r, c = _crop(mask, max(live) - 1) if live else (mask, 0, 0)
     # One ones plane alive at a time: only each piece's maximum is kept, and
     # rho = d / area is the smallest ratio so far.
     seen, table, d, area = [], None, 1, 1
     step, gamma, needs = schedule.t_max, None, {}
-    for table, r0, _, s in _bands(mask, live):
+    for table, r0, _, s in _bands(block, live):
         if needs.get(s, 0) > min(s * s, total):
             continue
         peak = int(_ones(table, s).max())
@@ -554,10 +598,12 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
             d, area = dist, s * s
             step, gamma = schedule._first_step(Fraction(d, area))
             needs = {} if gamma is None else _needs(fitting, total, gamma)
-    # On one band the last piece holds the whole table, which the second pass
-    # reuses; a taller canvas lets the band buffer go before the output plane.
-    last, table = (table if _one_band(mask, fitting) else None), None
+    # On one band the last piece holds the block's whole table, which the
+    # second pass reuses; a taller block lets the band buffer go before the
+    # output plane.
+    last, table = (table if _one_band(block, fitting) else None), None
     # A size whose best window lies past the cutoff holds fewer ones than it
     # needs in every band, so _candidates' per-record test drops it.
-    union = _union_of_covers(mask, needs, _candidates(mask, seen, last, needs))
+    pieces = _candidates(block, r, c, seen, last, needs)
+    union = _union_of_covers(mask, block, needs, pieces)
     return _report(mask, sizes, union, step, gamma)

@@ -8,13 +8,16 @@ a half-written file.
 
 One regular expression tokenizes the header.  Each raster is decoded by
 operations on the whole byte string.  A P1 raster loses its comments and
-its newlines, and an XOR with ``0`` maps each digit to its pixel and any
-other byte above 1; only a raster left with such a byte has its other
-whitespace deleted, and then the first byte that is not ``0`` or ``1`` is
-reported.  A P4 raster is unpacked to exactly W columns.  Both return a
-C-contiguous uint8 array.  The P1 writer fills one buffer in place: the
-header, then each row as lines of 64 digits and a tail line, each digit
-added to ``0`` and each line ended by a newline through strided views.
+its newlines; without comments the newlines go from the whole file's
+bytes and the pixels are read past the header, so no copy of the raster
+is sliced off first.  An XOR with ``0`` maps each digit to its pixel and
+any other byte above 1; only a raster left with such a byte has its
+other whitespace deleted, and then the first byte that is not ``0`` or
+``1`` is reported.  A P4 raster is unpacked to exactly W columns.  Both
+return a C-contiguous uint8 array.  The P1 writer fills one buffer in
+place: the header, then each row as lines of 64 digits and a tail line,
+each digit added to ``0`` and each line ended by a newline through
+strided views.
 """
 
 import contextlib
@@ -98,22 +101,27 @@ def decode_pbm(data: bytes) -> np.ndarray:
 
     if magic == b"P1":
         # One name for every stage, so each copy is freed once the next is
-        # made; the comment and whitespace passes run only when needed.
-        digits = data[pos:]
-        if b"#" in digits:
-            digits = re.sub(rb"#[^\n]*", b"", digits)
+        # made; the comment and whitespace passes run only when needed.  The
+        # header before ``pos`` loses its newlines with the raster, so without
+        # comments the raster is read from ``data`` at the header's kept
+        # length, with no copy of it sliced off first.
+        head, digits = data[:pos], data
+        if data.find(b"#", pos) >= 0:
+            head, digits = b"", re.sub(rb"#[^\n]*", b"", data[pos:])
         digits = digits.replace(b"\n", b"")
+        start = len(head) - head.count(b"\n")
         # b"0" is 0x30 and b"1" is 0x31: XOR with 0x30 maps each digit to its
         # pixel and every other byte above 1.
-        pixels = np.frombuffer(digits, np.uint8) ^ ord("0")
+        pixels = np.frombuffer(digits, np.uint8, offset=start) ^ ord("0")
         if pixels.max(initial=0) > 1:
             # Other whitespace, or junk: free these pixels, delete the
             # whitespace, and report the first byte still above 1.
             del pixels
             digits = digits.translate(None, _WHITESPACE)
-            pixels = np.frombuffer(digits, np.uint8) ^ ord("0")
+            start = len(head.translate(None, _WHITESPACE))
+            pixels = np.frombuffer(digits, np.uint8, offset=start) ^ ord("0")
             if pixels.max(initial=0) > 1:
-                at = int(np.argmax(pixels > 1))
+                at = start + int(np.argmax(pixels > 1))
                 raise PBMFormatError(
                     f"unexpected byte {digits[at : at + 1]!r} in P1 raster"
                 )

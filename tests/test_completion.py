@@ -904,6 +904,58 @@ class TestPassCounts:
         assert passes["tables"] == [(18, 20), (15, 16), (17, 20)]
         assert passes["sizes"] == [12] + [16, 12] * 7 + [16, 12] + [16]
 
+    @staticmethod
+    def widths(monkeypatch):
+        """The width of each table :func:`_fill` builds, in call order."""
+        widths, fill = [], completion._fill
+
+        def counted_fill(t, flags):
+            widths.append(t.shape[1])
+            fill(t, flags)
+
+        monkeypatch.setattr(completion, "_fill", counted_fill)
+        return widths
+
+    def test_a_localized_search_fills_only_the_crop(self, passes, monkeypatch):
+        # A 50×50 patch with two holes, alone on a 512² canvas: every window
+        # the search looks at holds a one, so both passes run on the patch's
+        # rows and cols grown by 99, the largest live side less 1: rows 101
+        # to 348 and cols 201 to 448.  That block is one band of 248 rows,
+        # so the second pass reuses its table and builds no box table.  With
+        # 2,498 ones s=25 is not live, and s=50's ratio 2/2500 stops the
+        # search at gamma_1 before s=75 or s=100 runs.
+        widths = self.widths(monkeypatch)
+        mask = np.zeros((512, 512), dtype=np.uint8)
+        mask[200:250, 300:350] = 1
+        mask[210, 310] = mask[240, 330] = 0
+        out, report = gamma_search(mask, (25, 50, 75, 100))
+        assert passes == {"fills": [248], "tables": [], "sizes": [50, 50]}
+        assert widths == [249]
+        assert report.iterations_run == 1 and report.per_size_accepted[50] == 13
+        want = complete_fixed_gamma(mask, (25, 50, 75, 100), report.gamma_used)
+        assert np.array_equal(out, want[0]) and report == want[1]
+
+    def test_a_canvas_spanning_search_fills_the_whole_canvas(self, passes, monkeypatch):
+        # Stray pixels in all four corners: grown by 99 their box is the
+        # canvas, so the first pass builds both bands of the whole 512²
+        # table, and no step accepts a window.
+        widths = self.widths(monkeypatch)
+        mask = np.zeros((512, 512), dtype=np.uint8)
+        mask[[3, 3, 508, 508], [5, 500, 7, 506]] = 1
+        mask[250, 250] = 1
+        _, report = gamma_search(mask, (25, 50, 75, 100))
+        assert not report.attack_found
+        assert passes["fills"] == [256, 256] and widths == [513, 513]
+        assert passes["tables"] == []
+
+    def test_a_blank_search_does_not_scan_for_the_ones(self, monkeypatch):
+        def no_crop(mask, grow):
+            raise AssertionError("a search with no live size scanned the mask")
+
+        monkeypatch.setattr(completion, "_crop", no_crop)
+        _, report = gamma_search(np.zeros((64, 64), dtype=np.uint8), (8, 16))
+        assert not report.attack_found
+
     def test_cover_is_built_at_one_call_site(self):
         sites = []
         for path in sorted(Path(completion.__file__).parent.glob("*.py")):
@@ -1166,6 +1218,83 @@ class TestSizeBound:
         out, report = complete_fixed_gamma(mask, (12, 16), Fraction(7, 16))
         assert np.array_equal(out, want)
         assert report.per_size_accepted == {12: 13, 16: 25}
+
+
+class TestCrop:
+    """A search runs on its ones' box grown by the largest live side less 1,
+    clamped to the canvas, and its output and report stay the oracle's."""
+
+    @staticmethod
+    def masks():
+        """Damaged 6×6 patches on a 30×36 canvas touching each edge and each
+        corner, two rows of ones across every col, and two far-apart blobs."""
+        rng = np.random.default_rng(30)
+        H, W = 30, 36
+        for top in (0, 12, H - 6):
+            for left in (0, 15, W - 6):
+                if (top, left) == (12, 15):
+                    continue
+                mask = np.zeros((H, W), dtype=np.uint8)
+                mask[top : top + 6, left : left + 6] = 1
+                mask[top + int(rng.integers(0, 6)), left + int(rng.integers(0, 6))] = 0
+                yield f"patch at ({top}, {left})", mask
+        mask = np.zeros((H, W), dtype=np.uint8)
+        mask[14:16] = 1
+        mask[15, rng.choice(W, 5, replace=False)] = 0
+        yield "rows across every col", mask
+        mask = np.zeros((H, W), dtype=np.uint8)
+        mask[10:15, 1:6] = mask[12:17, 30:35] = 1
+        mask[13, 3] = 0
+        yield "two far-apart blobs", mask
+
+    @pytest.mark.parametrize("band", [256, 4])
+    def test_cropped_searches_match_the_oracle(self, monkeypatch, band):
+        monkeypatch.setattr(completion, "_BAND", band)
+        blocks, crop = {}, completion._crop
+
+        def recorded_crop(mask, grow):
+            block, r, c = crop(mask, grow)
+            blocks[label] = (block.shape, r, c)
+            return block, r, c
+
+        monkeypatch.setattr(completion, "_crop", recorded_crop)
+        found = []
+        for label, mask in self.masks():
+            out, report = gamma_search(mask, (3, 5, 6))
+            want, want_report = TestSizeBound.oracle_search(mask, (3, 5, 6), GammaSchedule())
+            assert np.array_equal(out, want) and report == want_report, label
+            assert blocks[label][0] != mask.shape, label
+            found += [label] * report.attack_found
+        # Grown by 5 and clamped: each patch's block is 11 rows or cols long
+        # at an edge and 16 away from one; the rows and the blobs span every
+        # col between them.
+        assert blocks["patch at (0, 0)"] == ((11, 11), 0, 0)
+        assert blocks["patch at (24, 30)"] == ((11, 11), 19, 25)
+        assert blocks["patch at (12, 0)"] == ((16, 11), 7, 0)
+        assert blocks["rows across every col"] == ((12, 36), 9, 0)
+        assert blocks["two far-apart blobs"] == ((17, 36), 5, 0)
+        # A 6×6 window holds at most 12 of the rows' 67 ones: no step accepts.
+        assert len(found) == 9 and "rows across every col" not in found
+
+    def test_a_localized_search_peaks_no_higher_than_one_with_corner_strays(self):
+        # The same damaged patch on 512², alone and with a stray pixel in each
+        # corner: cropped to the patch, the search's tables and planes are
+        # the block's, and only its output spans the canvas.
+        mask = np.zeros((512, 512), dtype=np.uint8)
+        mask[230:280, 200:250] = 1
+        mask[[240, 251, 266], [210, 233, 205]] = 0
+        strays = mask.copy()
+        strays[[0, 0, -1, -1], [0, -1, 0, -1]] = 1
+        peaks = []
+        for m in (mask, strays):
+            tracemalloc.start()
+            try:
+                out, report = gamma_search(m, (25, 50, 75, 100))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.attack_found and out[255, 225]
+        assert peaks[0] <= peaks[1]
 
 
 _EVERY_4X4 = np.unpackbits(np.arange(65536, dtype=">u2").view(np.uint8)).reshape(-1, 4, 4)
