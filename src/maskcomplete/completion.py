@@ -49,21 +49,30 @@ distance from the observation to each window does not depend on gamma,
 so a search over several thresholds first needs only each size's minimum
 distance d, from its largest ones count per band: the first threshold at
 or above the smallest d / s**2 is the first with a nonempty completion.
-The search runs the sizes with LB(s) below 1, lowest first in each band;
-the threshold the smallest ratio so far picks only falls, so a size it
-puts out of reach skips every later band.  Only the bands whose largest
-count reaches what a size needs at that threshold get a second pass.  The
-geometric schedule is inverted for that ratio in closed form, so finding
-the step costs one exact threshold, not a walk over the steps before it.
+A search bounds each size by the mask's col counts first: a window of
+side s holds at most C(s) ones, the most that any s consecutive cols
+hold, so at most b(s) = min(s**2, total, C(s)), and its ratio is at least
+lb(s) = (s**2 + total - 2 * b(s)) / s**2, LB(s) being the case C(s) =
+total.  The bound is exact: every window's ones lie in s consecutive
+cols.  A size whose lb(s) lies past the schedule's last step accepts no
+window at any step and takes no pass, so a frame of scattered strays is
+settled from its counts, with no table.  C(s) is summed only for a size
+it might drop; elsewhere b(s) = min(s**2, total).  The search runs the
+other sizes, lowest lb(s) first in each band; the threshold the smallest
+ratio so far picks only falls, so a size whose b(s) it puts out of reach
+skips every later band.  Only the bands whose largest count reaches what
+a size needs at that threshold get a second pass.  The geometric
+schedule is inverted for that ratio in closed form, so finding the step
+costs one exact threshold, not a walk over the steps before it.
 
 A search runs both passes on a block of the mask, not the canvas.  A live
 size has total >= 1, and every need is at least 1, so every window either
 pass looks at, each size's best and every accepted one, holds a one and
-lies within s_max - 1 of the ones' bounding box, s_max the largest live
-size.  The block is that box grown by s_max - 1 on every side and
-clamped to the canvas: every live size fits it, every window that holds
-a one is one of its windows, and each piece's (r, c) is moved by the
-block's offset.  A patch's search builds only its block's rows, and a
+lies within s_max - 1 of the ones' bounding box, s_max the largest size
+with LB(s) below 1.  The block is that box grown by s_max - 1 on every
+side and clamped to the canvas: every live size fits it, every window
+that holds a one is one of its windows, and each piece's (r, c) is moved
+by the block's offset.  A patch's search builds only its block's rows, and a
 mask whose ones span the canvas gets the canvas.  A known threshold
 keeps the whole canvas.  On a block that is one band the second pass
 reuses the table; on a taller one the band buffer is let go first, and
@@ -133,11 +142,24 @@ class GammaSchedule:
         return Fraction(str(self.alpha)), Fraction(str(self.beta))
 
     @staticmethod
-    def _log(q: Fraction) -> float:
+    def _log(num: int, den: int) -> float:
+        """log(num / den) for positive integers, as a float."""
         # log1p keeps a beta within ulps of 1 accurate; integer logs never overflow.
-        if abs(q - 1) < 0.5:
-            return math.log1p(float(q - 1))
-        return math.log(q.numerator) - math.log(q.denominator)
+        if 2 * abs(num - den) < den:
+            return math.log1p((num - den) / den)
+        return math.log(num) - math.log(den)
+
+    def _steps(self, num: int, den: int) -> float:
+        """Float estimate of t - 1 at the first step t with 1 - gamma_t <= num / den.
+
+        That step is the first with alpha * beta**(t-1) <= num / den, so
+        t - 1 is the least integer at or above log(num / (den * alpha)) /
+        log(beta), which this estimates from integer logs alone.  An
+        estimate past t_max puts every step out of reach.
+        """
+        a, b = self._exact
+        near = self._log(num * a.denominator, den * a.numerator)
+        return near / self._log(b.numerator, b.denominator)
 
     def gamma(self, t: int) -> Fraction:
         """Exact threshold for step t (1-based)."""
@@ -157,13 +179,13 @@ class GammaSchedule:
         """
         if rho >= 1:
             return self.t_max, None
-        a, b = self._exact
-        steps = self._log((1 - rho) / a) / self._log(b)
+        steps = self._steps(rho.denominator - rho.numerator, rho.denominator)
         if steps > self.t_max:
             return self.t_max, None
         t = min(self.t_max, 1 + max(0, math.ceil(steps)))
         # tail = alpha * beta**(t-1) = 1 - gamma_t; one exact power, then
         # each neighbouring step is one multiplication or division by beta.
+        b = self._exact[1]
         tail, limit = 1 - self.gamma(t), 1 - rho
         while t > 1 and tail / b <= limit:
             t, tail = t - 1, tail / b
@@ -409,10 +431,16 @@ def _union_of_covers(mask, block, needs, pieces):
     return (np.zeros(mask.shape, np.uint8) if out is None else out), accepted
 
 
-def _runs(counts, s, need):
-    """First and past-last start of the s-long runs of ``counts`` reaching ``need``."""
+def _prefix(counts):
+    """0 and the running sums of ``counts``, in int64: each run's sum is one difference."""
     sums = np.zeros(len(counts) + 1, np.int64)
     np.cumsum(counts, out=sums[1:])
+    return sums
+
+
+def _runs(counts, s, need):
+    """First and past-last start of the s-long runs of ``counts`` reaching ``need``."""
+    sums = _prefix(counts)
     starts = np.flatnonzero(sums[s:] - sums[:-s] >= need)
     return int(starts[0]), int(starts[-1]) + 1
 
@@ -431,19 +459,24 @@ def _candidates(mask, r, c, seen, last, needs):
     windows, whose corners then fill the table: a window holding ``need``
     ones has at least that many in its s rows and in its s cols, so the
     box is bounded by the mask's row counts in the record's rows and its
-    col counts in the rows the box keeps.  A window's count depends only
-    on the mask inside it, so that table is exact.  Each count is summed
-    in the smallest unsigned dtype that holds the number of entries summed.
+    col counts in the rows the box keeps.  A band's row counts are summed
+    once, over the rows of its tallest record.  A window's count
+    depends only on the mask inside it, so that table is exact.  Each
+    count is summed in the smallest unsigned dtype that holds the number
+    of entries summed.
     """
+    band = None
     for r0, s, rows, peak in seen:
         if s not in needs or peak < needs[s]:
             continue
         if last is not None:
             yield last, r + r0, c, s
             continue
-        slab = mask[r0 : r0 + rows - 1]
-        counts = slab.sum(axis=1, dtype=np.min_scalar_type(slab.shape[1]))
-        i0, i1 = _runs(counts, s, needs[s])
+        if r0 != band:
+            band, tall = r0, max(n for q, _, n, _ in seen if q == r0)
+            slab = mask[r0 : r0 + tall - 1]
+            counts = slab.sum(axis=1, dtype=np.min_scalar_type(slab.shape[1]))
+        i0, i1 = _runs(counts[: rows - 1], s, needs[s])
         strip = slab[i0 : i1 + s - 1]
         cols = strip.sum(axis=0, dtype=np.min_scalar_type(len(strip)))
         j0, j1 = _runs(cols, s, needs[s])
@@ -452,19 +485,71 @@ def _candidates(mask, r, c, seen, last, needs):
         table = None
 
 
-def _crop(mask, grow):
-    """The block of ``mask`` around its ones, and the pixel (r, c) of its entry (0, 0).
+def _scan(mask):
+    """The ones' bounding box (i0, i1, j0, j1), and the ones in each of its cols.
 
-    The block is a view: the ones' bounding box grown by ``grow`` on every
-    side and clamped to the canvas.  ``mask`` must hold a one.  The first
-    and last one of its raster give the box's rows, and one OR down the
-    rows between them marks its cols.
+    ``mask`` must hold a one.  The first and last one of its raster give
+    the box's rows [i0, i1); one sum down those rows, in bytes over every
+    255 of them, counts each col's ones, and the zero bytes at either end
+    of the counts give its cols [j0, j1).
     """
-    h, w = mask.shape
+    w = mask.shape[1]
     raster = mask.tobytes()
     i0, i1 = raster.find(1) // w, raster.rfind(1) // w + 1
-    cols = np.bitwise_or.reduce(mask[i0:i1], axis=0).tobytes()
-    j0, j1 = cols.find(1), cols.rfind(1) + 1
+    rows = mask[i0:i1]
+    counts = np.add.reduce(rows[:255], axis=0, dtype=np.uint8)
+    if len(rows) > 255:
+        counts = counts.astype(np.int64)
+        for k in range(255, len(rows), 255):
+            counts += np.add.reduce(rows[k : k + 255], axis=0, dtype=np.uint8)
+    raw, size = counts.tobytes(), counts.itemsize
+    j0 = (len(raw) - len(raw.lstrip(b"\0"))) // size
+    j1 = -(-len(raw.rstrip(b"\0")) // size)
+    return (i0, i1, j0, j1), counts[j0:j1]
+
+
+def _reachable(counts, rows, total, sizes, schedule):
+    """b(s) for each size of ``sizes`` whose windows some step may accept.
+
+    ``counts`` holds the ones in each col of the ones' box, ``rows``
+    tall.  An s×s window holds at most b(s) = min(s², total, C(s)) ones,
+    C(s) the largest sum of s consecutive counts, so its ratio is at least
+    lb(s) = (s² + total - 2·b(s)) / s², and a size whose lb(s) lies past
+    the schedule's last step is dropped: no step accepts one of its
+    windows.  That test is the float estimate that
+    :meth:`GammaSchedule._first_step` trusts, with no exact power: it
+    drops a size only when lb(s) lies more than a step past.  C(s)
+    is total when s cols span the box, and at least total less ``rows``
+    ones per col past s; it is summed only where that bound leaves it
+    below min(s², total) and does not put lb(s) in reach, the only sizes
+    it can drop.  Elsewhere b(s) = min(s², total).
+    """
+
+    def reached(s, most):
+        return 2 * most > total and schedule._steps(2 * most - total, s * s) <= schedule.t_max
+
+    bounds, sums = {}, None
+    for s in sizes:
+        bounds[s] = min(s * s, total)
+        low = total - max(len(counts) - s, 0) * rows
+        if low < bounds[s] and not reached(s, low):
+            sums = _prefix(counts) if sums is None else sums
+            most = int((sums[s:] - sums[:-s]).max())
+            if most < bounds[s] and not reached(s, most):
+                del bounds[s]
+            else:
+                bounds[s] = min(bounds[s], most)
+    return bounds
+
+
+def _crop(mask, box, grow):
+    """The block of ``mask`` around ``box``, and the pixel (r, c) of its entry (0, 0).
+
+    The block is a view: the box (i0, i1, j0, j1) of rows [i0, i1) and
+    cols [j0, j1) grown by ``grow`` on every side and clamped to the canvas.
+    """
+    h, w = mask.shape
+    i0, i1, j0, j1 = box
     r, c = max(i0 - grow, 0), max(j0 - grow, 0)
     return mask[r : min(i1 + grow, h), c : min(j1 + grow, w)], r, c
 
@@ -561,16 +646,29 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     reaches a ratio of 1 (a blank mask, or no size fits).  Only the bands
     and sizes some window of which is accepted at the chosen threshold get
     a second ones pass and a cover.  No ratio of size s is below
-    LB(s) = |s**2 - total| / s**2, so the first pass runs the sizes with
-    LB(s) < 1, lowest first in each band, and skips a size from the band on
-    where rho's step puts it out of reach, which no later band undoes.
+    LB(s) = |s**2 - total| / s**2, and a size with LB(s) < 1 has total >= 1.
 
-    A size with LB(s) < 1 has total >= 1, and every need is at least 1, so
-    each window either pass looks at holds a one.  Both passes therefore
-    run on the block of the mask that holds the ones' bounding box grown
-    by max(live) - 1 on every side, clamped to the canvas: the search
-    builds tables only around the patch, and a mask whose ones span the
-    canvas searches the whole of it, as without the crop.
+    One scan of such a mask finds the ones' bounding box and counts the
+    ones in each of its cols.  An s×s window holds at most b(s) = min(s**2,
+    total, C(s)) ones, C(s) the largest sum of s consecutive col counts,
+    since the window's s cols hold all of its ones; so no ratio of size s
+    is below lb(s) = (s**2 + total - 2 * b(s)) / s**2.  A size whose lb(s)
+    lies past the last step, by the float estimate the step search itself
+    trusts, is dropped: no step accepts one of its windows, so the output
+    and the report are those of the search that ran it.  A mask whose sizes
+    all drop returns the empty completion with no table built.  C(s) is
+    summed only for a size it might drop; elsewhere b(s) = min(s**2,
+    total).  The first
+    pass runs the other sizes, lowest lb(s) first in each band, and skips a
+    size from the band on where rho's step makes it need more than b(s)
+    ones, which no later band undoes.
+
+    Every need is at least 1, so each window either pass looks at holds a
+    one.  Both passes therefore run on the block of the mask that holds the
+    ones' bounding box grown by s_max - 1 on every side, s_max the largest
+    size with LB(s) < 1, clamped to the canvas: the search builds tables
+    only around the patch, and a mask whose ones span the canvas searches
+    the whole of it, as without the crop.
 
     Returns
     -------
@@ -580,16 +678,24 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     fitting = [s for s in sizes if s <= min(mask.shape)]
     total = int(np.count_nonzero(mask))
     live = [s for s in fitting if abs(s * s - total) < s * s]
-    live.sort(key=lambda s: abs(s * s - total) / (s * s))
-    # Every window either pass looks at holds a one, so it lies in the block
-    # of the ones' box grown by the largest live side less 1.
-    block, r, c = _crop(mask, max(live) - 1) if live else (mask, 0, 0)
+    block, r, c = mask, 0, 0
+    if live:
+        # Every window either pass looks at holds a one, so it lies in the
+        # block of the ones' box grown by the largest live side less 1.
+        box, counts = _scan(mask)
+        block, r, c = _crop(mask, box, max(live) - 1)
+        # b(s) bounds each size's ones; sizes no step can accept are gone.
+        most = _reachable(counts, box[1] - box[0], total, live, schedule)
+        # The live sizes in lb(s) order, each with b(s); nothing else of the
+        # scan outlives it.
+        live = {s: most[s] for s in sorted(most, key=lambda s: (s * s + total - 2 * most[s]) / (s * s))}
+        del box, counts, most
     # One ones plane alive at a time: only each piece's maximum is kept, and
     # rho = d / area is the smallest ratio so far.
     seen, table, d, area = [], None, 1, 1
     step, gamma, needs = schedule.t_max, None, {}
     for table, r0, _, s in _bands(block, live):
-        if needs.get(s, 0) > min(s * s, total):
+        if needs.get(s, 0) > live[s]:
             continue
         peak = int(_ones(table, s).max())
         seen.append((r0, s, len(table), peak))

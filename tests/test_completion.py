@@ -936,23 +936,47 @@ class TestPassCounts:
         assert np.array_equal(out, want[0]) and report == want[1]
 
     def test_a_canvas_spanning_search_fills_the_whole_canvas(self, passes, monkeypatch):
-        # Stray pixels in all four corners: grown by 99 their box is the
-        # canvas, so the first pass builds both bands of the whole 512²
-        # table, and no step accepts a window.
+        # Stray pixels in all four corners and a 50×50 patch with two holes:
+        # grown by 99 their box is the canvas, so the first pass builds both
+        # bands of the whole 512² table.  With 2,503 ones s=25 is not live,
+        # and no 75- or 100-col run holds more than the patch's 2,498 ones.
+        # s=50's ratio 7/2500 stops the search at gamma_1, where s=75 and
+        # s=100 need more ones than that in every band, so only s=50 runs.
+        # Its accepted windows lie in the last band, which is not the
+        # first: the second pass builds one box table around them.
         widths = self.widths(monkeypatch)
         mask = np.zeros((512, 512), dtype=np.uint8)
         mask[[3, 3, 508, 508], [5, 500, 7, 506]] = 1
         mask[250, 250] = 1
-        _, report = gamma_search(mask, (25, 50, 75, 100))
-        assert not report.attack_found
-        assert passes["fills"] == [256, 256] and widths == [513, 513]
-        assert passes["tables"] == []
+        mask[300:350, 100:150] = 1
+        mask[310, 120] = mask[340, 140] = 0
+        out, report = gamma_search(mask, (25, 50, 75, 100))
+        assert report.iterations_run == 1
+        assert report.per_size_accepted == {25: 0, 50: 13, 75: 0, 100: 0}
+        assert passes == {"fills": [256, 256, 54], "tables": [(54, 54)], "sizes": [50] * 3}
+        assert widths == [513, 513, 55]
+        want = complete_fixed_gamma(mask, (25, 50, 75, 100), report.gamma_used)
+        assert np.array_equal(out, want[0]) and report == want[1]
+
+    def test_a_strays_only_search_fills_nothing(self, passes, monkeypatch):
+        # The corner strays alone: |s² - 5| < s², so every size passes the
+        # LB(s) test, but no run of s cols holds more than 2 of the 5 ones,
+        # so lb(s) >= 1 and the column counts settle the search: no table.
+        widths = self.widths(monkeypatch)
+        mask = np.zeros((512, 512), dtype=np.uint8)
+        mask[[3, 3, 508, 508], [5, 500, 7, 506]] = 1
+        mask[250, 250] = 1
+        out, report = gamma_search(mask, (25, 50, 75, 100))
+        none = dict.fromkeys((25, 50, 75, 100), 0)
+        assert report == CompletionReport(False, None, 15, none)
+        assert out.shape == mask.shape and not out.any()
+        assert passes == {"fills": [], "tables": [], "sizes": []} and widths == []
 
     def test_a_blank_search_does_not_scan_for_the_ones(self, monkeypatch):
-        def no_crop(mask, grow):
+        def no_scan(mask):
             raise AssertionError("a search with no live size scanned the mask")
 
-        monkeypatch.setattr(completion, "_crop", no_crop)
+        monkeypatch.setattr(completion, "_scan", no_scan)
         _, report = gamma_search(np.zeros((64, 64), dtype=np.uint8), (8, 16))
         assert not report.attack_found
 
@@ -1219,6 +1243,148 @@ class TestSizeBound:
         assert np.array_equal(out, want)
         assert report.per_size_accepted == {12: 13, 16: 25}
 
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """The size of each ones pass, in call order."""
+        ran, ones = [], completion._ones
+
+        def counted_ones(table, s):
+            ran.append(s)
+            return ones(table, s)
+
+        monkeypatch.setattr(completion, "_ones", counted_ones)
+        return ran
+
+    @staticmethod
+    def col_bound(mask, s):
+        """b(s) = min(s², total, C(s)), C(s) the most ones in any s cols, by brute force."""
+        cols = [int(v) for v in mask.sum(axis=0)]
+        runs = max(sum(cols[j : j + s]) for j in range(len(cols) - s + 1))
+        return min(s * s, sum(cols), runs)
+
+    @staticmethod
+    def bound_masks():
+        """Seeded masks whose ones no run of cols holds many of: sparse
+        strays, and two clusters of 4 cols at either end of a canvas at
+        least 30 wide, one to three ones apart in size, so that no window of
+        side 20 or less holds both."""
+        for k in range(48):
+            rng = np.random.default_rng([31, k])
+            H, W = (int(v) for v in rng.integers([20, 30], [41, 45]))
+            small = rng.choice(np.arange(3, 16), 2, replace=False)
+            sizes = sorted(int(v) for v in (*small, rng.integers(16, 21)))
+            mask = np.zeros((H, W), dtype=np.uint8)
+            if k % 3 == 0:
+                mask.flat[rng.choice(H * W, int(rng.integers(3, 13)), replace=False)] = 1
+                yield "strays", mask, sizes
+                continue
+            big = int(rng.integers(6, 17))
+            for left, count in ((0, big), (W - 4, big - int(rng.integers(1, 4)))):
+                top = int(rng.integers(0, H - 3))
+                box = np.zeros(16, dtype=np.uint8)
+                box[rng.choice(16, count, replace=False)] = 1
+                mask[top : top + 4, left : left + 4] = box.reshape(4, 4)
+            yield "clusters", mask, sizes
+
+    @pytest.mark.parametrize("band", [256, 4])
+    def test_the_column_bound_drops_sizes_no_step_accepts(self, ran, monkeypatch, band):
+        # Sizes that LB(s) = |s² - total| / s² < 1 keeps, but whose s cols
+        # hold too few ones: with b(s) = min(s², total, C(s)), lb(s) = (s² +
+        # total - 2·b(s)) / s² lies at or past 1, or past gamma_16, which
+        # the float estimate puts more than a step past the last step.  Such
+        # a size takes no ones pass, and the search stays the oracle's.
+        monkeypatch.setattr(completion, "_BAND", band)
+        schedule = GammaSchedule()
+        beyond = GammaSchedule(t_max=16).gamma(16)
+        drops = {"strays": 0, "clusters": 0, "past the last step": 0}
+        for label, mask, sizes in self.bound_masks():
+            total = int(np.count_nonzero(mask))
+            ran.clear()
+            out, report = gamma_search(mask, sizes, schedule)
+            want, want_report = self.oracle_search(mask, sizes, schedule)
+            assert np.array_equal(out, want) and report == want_report, (label, sizes)
+            for s in sizes:
+                lb = Fraction(s * s + total - 2 * self.col_bound(mask, s), s * s)
+                if abs(s * s - total) < s * s and lb > beyond:
+                    assert s not in ran, (label, sizes, s)
+                    drops[label] += 1
+                    drops["past the last step"] += lb < 1
+        assert all(drops.values()), drops
+
+    @pytest.mark.parametrize("band", [256, 4])
+    def test_a_size_whose_column_bound_meets_its_need_at_the_last_step_runs(
+        self, monkeypatch, band
+    ):
+        # A 7×7 block and 6 more ones spanning exactly 10 cols, and 5 ones
+        # far off: 60 in all.  With alpha 1/2 and one step, gamma is 1/2.
+        # s=7 has the lower bound, (49 + 60 - 98) / 49, and stops the search
+        # there first.  No 10 cols hold more than the cluster's 55 ones, so
+        # b(10) = 55, and that is what s=10 needs at gamma 1/2: ceil((100 +
+        # 60 - 50) / 2).  Its 4 windows over the whole cluster, at distance
+        # 50, are accepted, so s=10 must run in every band.
+        monkeypatch.setattr(completion, "_BAND", band)
+        mask = np.zeros((24, 40), dtype=np.uint8)
+        mask[3:10, 3:10] = 1
+        mask[[4, 6], 10:13] = 1
+        mask[[0, 5, 9, 14, 20], [37, 38, 39, 36, 35]] = 1
+        assert np.count_nonzero(mask) == 60 and self.col_bound(mask, 10) == 55
+        schedule = GammaSchedule(alpha=0.5, t_max=1)
+        out, report = gamma_search(mask, (7, 10), schedule)
+        want, want_report = self.oracle_search(mask, (7, 10), schedule)
+        assert np.array_equal(out, want) and report == want_report
+        assert report.gamma_used == 0.5 and report.per_size_accepted[10] == 4
+
+    @pytest.mark.parametrize("band", [256, 4])
+    def test_canvases_narrower_than_a_size(self, monkeypatch, band):
+        # Canvases 3 to 12 cols wide: a size wider than the canvas is
+        # skipped, and one whose s cols span the ones' box takes C(s) =
+        # total without summing a run.
+        monkeypatch.setattr(completion, "_BAND", band)
+        for k in range(30):
+            rng = np.random.default_rng([31, 1, k])
+            H, W = int(rng.integers(12, 41)), int(rng.integers(3, 13))
+            sizes = sorted(int(v) for v in rng.choice(np.arange(2, 16), 3, replace=False))
+            if k % 2:
+                mask = planted_patch(rng, H, W, min(sizes[0], W), int(rng.integers(0, 4)))
+            else:
+                mask = random_mask(rng, H, W, density=float(rng.uniform(0.02, 0.3)))
+            fitting = [s for s in sizes if s <= W]
+            out, report = gamma_search(mask, sizes)
+            want, want_report = self.oracle_search(mask, fitting, GammaSchedule())
+            assert np.array_equal(out, want)
+            assert report == CompletionReport(
+                want_report.attack_found,
+                want_report.gamma_used,
+                want_report.iterations_run,
+                {s: want_report.per_size_accepted.get(s, 0) for s in sizes},
+                tuple(s for s in sizes if s > W),
+                want_report.output_popcount,
+            )
+
+    @pytest.mark.parametrize("gap", [12, 11], ids=["s+1 cols", "s cols"])
+    def test_two_ones_a_size_apart(self, ran, gap):
+        # Two ones in one row, spanning s + 1 or s cols, at s = 12: LB(12)
+        # = 142/144 keeps the size.  Across s + 1 cols no window holds both,
+        # so b(12) = 1 and lb(12) = 1: no table.  Across s cols one window
+        # holds both, at distance 142, which step 13 accepts.
+        mask = np.zeros((12, 13), dtype=np.uint8)
+        mask[5, [0, gap]] = 1
+        out, report = gamma_search(mask, (12,))
+        want, want_report = self.oracle_search(mask, (12,), GammaSchedule())
+        assert np.array_equal(out, want) and report == want_report
+        assert report.iterations_run == (15 if gap == 12 else 13)
+        assert ran == ([] if gap == 12 else [12, 12])
+
+    @pytest.mark.parametrize("h", [254, 255, 256, 511, 600])
+    def test_column_counts_past_a_byte(self, h):
+        # The counts are summed in bytes over every 255 rows, so a col of h
+        # ones counts h, whatever h.
+        mask = np.zeros((h, 9), dtype=np.uint8)
+        mask[:, 2] = mask[1:-1, 6] = mask[h // 2, 7] = 1
+        box, counts = completion._scan(mask)
+        assert box == (0, h, 2, 8)
+        assert counts.tolist() == [h, 0, 0, 0, h - 2, 1]
+
 
 class TestCrop:
     """A search runs on its ones' box grown by the largest live side less 1,
@@ -1252,8 +1418,8 @@ class TestCrop:
         monkeypatch.setattr(completion, "_BAND", band)
         blocks, crop = {}, completion._crop
 
-        def recorded_crop(mask, grow):
-            block, r, c = crop(mask, grow)
+        def recorded_crop(mask, *args):
+            block, r, c = crop(mask, *args)
             blocks[label] = (block.shape, r, c)
             return block, r, c
 
