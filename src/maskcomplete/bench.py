@@ -2,10 +2,13 @@
 
 The engine's runtime should track image area and stay flat across patch
 sizes; the oracle's should grow with s**2.  Each timed call completes one
-centered square, drawn by :func:`~maskcomplete.shapes.generate_shape_mask`.
-One timing loop, :func:`_time_configs`, times the engine and the oracle
-alike, and each configuration keeps its fastest call, so the ratios stay
-stable enough to assert.
+centered square, drawn by :func:`~maskcomplete.shapes.generate_shape_mask`,
+with one set pixel more in the top-left and bottom-right corners: the
+engine crops a call to the block around its ones, and the corners make
+that block the canvas, so the work timed is the canvas's.  One timing
+loop, :func:`_time_configs`, times the engine and the oracle alike, and
+each configuration keeps its fastest call, so the ratios stay stable
+enough to assert.
 """
 
 import functools
@@ -25,6 +28,13 @@ __all__ = ["BENCH_GAMMA", "run_benchmark"]
 BENCH_GAMMA = 0.25
 
 
+def _spanning_square(s, shape):
+    """The centered s×s square on ``shape``, plus its first and last pixel."""
+    mask = generate_shape_mask("square", s, None, shape)
+    mask[0, 0] = mask[-1, -1] = 1
+    return mask
+
+
 def _time_configs(complete, canvases, sizes, repeats, warmup=True):
     """Per-canvas, per-size minimum seconds of ``complete(mask, size, gamma)``.
 
@@ -41,9 +51,7 @@ def _time_configs(complete, canvases, sizes, repeats, warmup=True):
         fitting = [s for s in sizes if s <= canvas]
         shape = (canvas, canvas)
         fns = [
-            functools.partial(
-                complete, generate_shape_mask("square", s, None, shape), s, BENCH_GAMMA
-            )
+            functools.partial(complete, _spanning_square(s, shape), s, BENCH_GAMMA)
             for s in fitting
         ]
         if warmup:

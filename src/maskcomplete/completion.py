@@ -65,18 +65,22 @@ a size needs at that threshold get a second pass.  The geometric
 schedule is inverted for that ratio in closed form, so finding the step
 costs one exact threshold, not a walk over the steps before it.
 
-A search runs both passes on a block of the mask, not the canvas.  A live
-size has total >= 1, and every need is at least 1, so every window either
-pass looks at, each size's best and every accepted one, holds a one and
-lies within s_max - 1 of the ones' bounding box, s_max the largest size
+Every call runs its passes on a block of the mask, not the canvas, from
+one prologue shared by all three entry points.  One scan finds the ones'
+bounding box and counts the ones in each of its cols, whose sum is the
+total (a blank mask stops at the scan, with no table).  Every need is at
+least 1, so every window a pass looks at holds a one: every accepted
+window, and in a search each size's best.  Each lies within s_max - 1 of
+the ones' box, s_max the largest live size: at a known threshold the
+largest whose need is at most min(s**2, total), in a search the largest
 with LB(s) below 1.  The block is that box grown by s_max - 1 on every
 side and clamped to the canvas: every live size fits it, every window
 that holds a one is one of its windows, and each piece's (r, c) is moved
-by the block's offset.  A patch's search builds only its block's rows, and a
-mask whose ones span the canvas gets the canvas.  A known threshold
-keeps the whole canvas.  On a block that is one band the second pass
-reuses the table; on a taller one the band buffer is let go first, and
-every such band gets a small table over the box of its candidate
+by the block's offset.  A patch builds only its block's rows, whether
+its threshold is known or searched for, and a mask whose ones span the
+canvas gets the canvas.  On a block that is one band a search's second
+pass reuses the table; on a taller one the band buffer is let go first,
+and every such band gets a small table over the box of its candidate
 windows, bounded by the mask's row and column counts there.  On a taller
 block the union makes its output plane once, before it reads a piece:
 before the first band at a known threshold, and after the band buffer is
@@ -113,7 +117,12 @@ def distance_cutoff(gamma, size) -> int:
     concerns.
     """
     s = as_int(size, "patch size", 1)
-    return int(as_gamma(gamma) * s * s)
+    return _cutoff(as_gamma(gamma), s)
+
+
+def _cutoff(gamma, s) -> int:
+    """floor(gamma * s**2) for a Fraction ``gamma`` >= 0, by one integer division."""
+    return gamma.numerator * s * s // gamma.denominator
 
 
 @dataclass(frozen=True)
@@ -338,14 +347,14 @@ def _needs(sizes, total, gamma) -> dict:
 
     A window lies within the cutoff floor(gamma * s²) of a mask with
     ``total`` ones iff s² + total - 2 * ones <= cutoff, that is iff ones >=
-    ceil((s² + total - cutoff) / 2).  A cutoff below s², which every gamma
-    below 1 gives, needs at least 1; the bound is clamped to s² + 1, which
-    the table's dtype holds, so it compares in that dtype.
+    ceil((s² + total - cutoff) / 2); ``gamma`` is a Fraction.  A cutoff
+    below s², which every gamma below 1 gives, needs at least 1; the bound
+    is clamped to s² + 1, which the table's dtype holds, so it compares in
+    that dtype.
     """
     needs = {}
     for s in sizes:
-        cutoff = int(gamma * (s * s))
-        needs[s] = min((s * s + total - cutoff + 1) // 2, s * s + 1)
+        needs[s] = min((s * s + total - _cutoff(gamma, s) + 1) // 2, s * s + 1)
     return needs
 
 
@@ -392,26 +401,28 @@ def _cover(accept, s) -> np.ndarray:
     return plane.view(np.uint8)
 
 
-def _union_of_covers(mask, block, needs, pieces):
+def _union_of_covers(mask, crop, needs, pieces):
     """Union of the covers of the windows holding ``needs`` ones, and their counts.
 
     ``needs`` maps sizes to the ones a window must hold to be accepted.
-    ``pieces`` yields (table, r, c, s): summed-area rows and columns of
-    ``block``, a block of ``mask``, whose entry (0, 0) sits at pixel (r,
-    c) of ``mask``, holding the corners of the s×s windows to look at and
-    s rows and cols past them.  Each piece gets one ones plane, its accept
-    flags, their count and, when any flag is set, its cover; the flags are
+    ``crop`` is (block, r, c): a block of ``mask`` whose entry (0, 0) sits
+    at pixel (r, c) of ``mask``.  ``pieces`` yields (table, i, j, s):
+    summed-area rows and columns of the block, entry (0, 0) at its entry
+    (i, j), holding the corners of the s×s windows to look at and s rows
+    and cols past them.  Each piece gets one ones plane, its accept flags,
+    their count and, when any flag is set, its cover; the flags are
     dropped once the cover is built, and nothing outlives the piece.  When
-    ``block`` is several bands tall the zero output plane is made before
+    the block is several bands tall the zero output plane is made before
     the first piece is read, and every cover is ORed into it, so the peak
     does not depend on which pieces accept a window.  When it is one band
     every cover spans it: the first nonempty one becomes the output when
-    ``block`` is the canvas, and is otherwise ORed into a zero plane made
+    the block is the canvas, and is otherwise ORed into a zero plane made
     then.  With every cover empty the output is a zero plane made last.
     """
+    block, r, c = crop
     out = None if _one_band(block, needs) else np.zeros(mask.shape, np.uint8)
     accepted = dict.fromkeys(needs, 0)
-    for table, r, c, s in pieces:
+    for table, i, j, s in pieces:
         accept = _ones(table, s) >= needs[s]
         count = int(np.count_nonzero(accept))
         accepted[s] += count
@@ -425,7 +436,7 @@ def _union_of_covers(mask, block, needs, pieces):
                 continue
             out = np.zeros(mask.shape, np.uint8)
         h, w = cover.shape
-        part = out[r : r + h, c : c + w]
+        part = out[r + i : r + i + h, c + j : c + j + w]
         np.bitwise_or(part, cover, out=part)
         cover = None
     return (np.zeros(mask.shape, np.uint8) if out is None else out), accepted
@@ -445,16 +456,15 @@ def _runs(counts, s, need):
     return int(starts[0]), int(starts[-1]) + 1
 
 
-def _candidates(mask, r, c, seen, last, needs):
-    """The pieces (table, r, c, s) of a search's second pass: accepted windows.
+def _candidates(mask, seen, last, needs):
+    """The pieces (table, i, j, s) of a search's second pass: accepted windows.
 
-    ``mask`` is the block the search runs on, whose entry (0, 0) sits at
-    pixel (r, c) of the canvas, and each piece's (r, c) is a canvas pixel.
-    ``seen`` holds a record (r0, s, rows, peak) per first-pass piece: its
-    band's first corner row, size, table row count and largest ones
-    count.  A record whose size has no need, or whose peak falls short of
-    it, is skipped.  ``last`` is the table of a block that is one band,
-    used as it is, or None.  On a taller block each accepted record, the
+    ``mask`` is the block the search runs on, and each piece's table entry
+    (0, 0) sits at its entry (i, j).  ``seen`` holds a record (r0, s,
+    rows, peak) per first-pass piece: its band's first corner row, size,
+    table row count and largest ones count.  A record whose size has no
+    need, or whose peak falls short of it, is skipped.  ``last`` is the
+    table of a block that is one band, used as it is, or None.  On a taller block each accepted record, the
     last band's too, gets a table of its own over the box of its candidate
     windows, whose corners then fill the table: a window holding ``need``
     ones has at least that many in its s rows and in its s cols, so the
@@ -470,7 +480,7 @@ def _candidates(mask, r, c, seen, last, needs):
         if s not in needs or peak < needs[s]:
             continue
         if last is not None:
-            yield last, r + r0, c, s
+            yield last, r0, 0, s
             continue
         if r0 != band:
             band, tall = r0, max(n for q, _, n, _ in seen if q == r0)
@@ -481,21 +491,25 @@ def _candidates(mask, r, c, seen, last, needs):
         cols = strip.sum(axis=0, dtype=np.min_scalar_type(len(strip)))
         j0, j1 = _runs(cols, s, needs[s])
         table = _summed_area(strip[:, j0 : j1 + s - 1], s)
-        yield table, r + r0 + i0, c + j0, s
+        yield table, r0 + i0, j0, s
         table = None
 
 
 def _scan(mask):
     """The ones' bounding box (i0, i1, j0, j1), and the ones in each of its cols.
 
-    ``mask`` must hold a one.  The first and last one of its raster give
-    the box's rows [i0, i1); one sum down those rows, in bytes over every
-    255 of them, counts each col's ones, and the zero bytes at either end
-    of the counts give its cols [j0, j1).
+    None if ``mask`` holds no one.  The first and last one of its raster
+    give the box's rows [i0, i1); one sum down those rows, in bytes over
+    every 255 of them, counts each col's ones, and the zero bytes at either
+    end of the counts give its cols [j0, j1).
     """
     w = mask.shape[1]
     raster = mask.tobytes()
-    i0, i1 = raster.find(1) // w, raster.rfind(1) // w + 1
+    first = raster.find(1)
+    if first < 0:
+        return None
+    i0, i1 = first // w, raster.rfind(1) // w + 1
+    raster = None
     rows = mask[i0:i1]
     counts = np.add.reduce(rows[:255], axis=0, dtype=np.uint8)
     if len(rows) > 255:
@@ -548,10 +562,51 @@ def _crop(mask, box, grow):
     The block is a view: the box (i0, i1, j0, j1) of rows [i0, i1) and
     cols [j0, j1) grown by ``grow`` on every side and clamped to the canvas.
     """
-    h, w = mask.shape
     i0, i1, j0, j1 = box
     r, c = max(i0 - grow, 0), max(j0 - grow, 0)
-    return mask[r : min(i1 + grow, h), c : min(j1 + grow, w)], r, c
+    return mask[r : i1 + grow, c : j1 + grow], r, c
+
+
+def _prologue(mask, sizes, at):
+    """A call's fitting sizes, its total, its live sizes and the block they run on.
+
+    ``at`` is the known threshold, or the :class:`GammaSchedule` a search
+    walks.  One :func:`_scan` finds the ones' box and counts the ones in
+    each of its cols, whose sum is the total.  A call with no fitting size
+    does not scan, one on a blank mask stops at the scan, and neither has a
+    live size.  ``live`` maps each size that takes a pass to the ones that
+    bound its windows.  At a known threshold it holds each fitting size
+    whose need, the fewest ones the cutoff floor(gamma * s**2) leaves a
+    window, is at most min(s**2, total).  In a search it holds each size
+    with LB(s) below 1 that :func:`_reachable` keeps, with its bound b(s),
+    in lb(s) order.
+
+    Every need is at least 1, so every window a pass looks at holds a one
+    and lies in the block: the ones' box grown by the largest live size
+    less 1, the largest with LB(s) below 1 in a search, and clamped to the
+    canvas.  Nothing of the scan outlives the prologue.  Returns (fitting,
+    total, live, (block, r, c)), (r, c) the pixel of the block's entry
+    (0, 0), the crop :func:`_union_of_covers` takes.
+    """
+    fitting = [s for s in sizes if s <= min(mask.shape)]
+    scan = _scan(mask) if fitting else None
+    if scan is None:
+        return fitting, 0, {}, (mask, 0, 0)
+    box, counts = scan
+    total = int(counts.sum(dtype=np.min_scalar_type(mask.size)))
+    search = isinstance(at, GammaSchedule)
+    if search:
+        live = [s for s in fitting if abs(s * s - total) < s * s]
+    else:
+        live = {s: n for s, n in _needs(fitting, total, at).items() if n <= min(s * s, total)}
+    if not live:
+        return fitting, total, {}, (mask, 0, 0)
+    block = _crop(mask, box, max(live) - 1)
+    if search:
+        # b(s) bounds each size's ones; sizes no step can accept are gone.
+        most = _reachable(counts, box[1] - box[0], total, live, at)
+        live = {s: most[s] for s in sorted(most, key=lambda s: (s * s + total - 2 * most[s]) / (s * s))}
+    return fitting, total, live, block
 
 
 def _union_at(mask, sizes, gamma):
@@ -559,15 +614,15 @@ def _union_at(mask, sizes, gamma):
 
     The sizes of ``sizes`` that fit the mask need the ones the cutoff
     floor(gamma * s**2) leaves them; the others, and those that need more
-    than min(s**2, total), take no pass.  Each size's accept flags come
-    from the ones plane its band already has, and a canvas of several
-    bands has its output plane before the first band.
+    than min(s**2, total), take no pass.  The pass runs on the block
+    :func:`_prologue` crops around the ones, so a patch builds tables only
+    around itself, and a mask whose ones span the canvas builds the
+    canvas's.  Each size's accept flags come from the ones plane its band
+    already has, and a block of several bands has its output plane before
+    the first band.
     """
-    fitting = [s for s in sizes if s <= min(mask.shape)]
-    total = int(np.count_nonzero(mask))
-    needs = _needs(fitting, total, gamma)
-    live = [s for s in fitting if needs[s] <= min(s * s, total)]
-    return _union_of_covers(mask, mask, needs, _bands(mask, live))
+    _, _, needs, crop = _prologue(mask, sizes, gamma)
+    return _union_of_covers(mask, crop, needs, _bands(crop[0], needs))
 
 
 def complete_single_size(observed, size, gamma) -> np.ndarray:
@@ -616,7 +671,10 @@ def complete_fixed_gamma(observed, sizes, gamma):
     """Multi-size completion at a single fixed threshold, with a report.
 
     The output is the union of :func:`complete_single_size` over the sizes:
-    each fitting size gets one ones pass per band, at the known cutoff.
+    each fitting size that can accept a window gets one ones pass per band,
+    at the known cutoff, over the block of the mask around its ones (the
+    ones' box grown by the largest such size less 1), so a patch's call
+    builds tables only around the patch.
     The report has the fields of :func:`gamma_search`'s, with
     ``iterations_run`` always 1 and ``gamma_used`` set only when some size
     accepts a window.
@@ -675,21 +733,8 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     (ndarray, CompletionReport)
     """
     mask, sizes = as_mask(observed), normalize_sizes(sizes)
-    fitting = [s for s in sizes if s <= min(mask.shape)]
-    total = int(np.count_nonzero(mask))
-    live = [s for s in fitting if abs(s * s - total) < s * s]
-    block, r, c = mask, 0, 0
-    if live:
-        # Every window either pass looks at holds a one, so it lies in the
-        # block of the ones' box grown by the largest live side less 1.
-        box, counts = _scan(mask)
-        block, r, c = _crop(mask, box, max(live) - 1)
-        # b(s) bounds each size's ones; sizes no step can accept are gone.
-        most = _reachable(counts, box[1] - box[0], total, live, schedule)
-        # The live sizes in lb(s) order, each with b(s); nothing else of the
-        # scan outlives it.
-        live = {s: most[s] for s in sorted(most, key=lambda s: (s * s + total - 2 * most[s]) / (s * s))}
-        del box, counts, most
+    fitting, total, live, crop = _prologue(mask, sizes, schedule)
+    block = crop[0]
     # One ones plane alive at a time: only each piece's maximum is kept, and
     # rho = d / area is the smallest ratio so far.
     seen, table, d, area = [], None, 1, 1
@@ -710,6 +755,6 @@ def gamma_search(observed, sizes, schedule=GammaSchedule()):
     last, table = (table if _one_band(block, fitting) else None), None
     # A size whose best window lies past the cutoff holds fewer ones than it
     # needs in every band, so _candidates' per-record test drops it.
-    pieces = _candidates(block, r, c, seen, last, needs)
-    union = _union_of_covers(mask, block, needs, pieces)
+    pieces = _candidates(block, seen, last, needs)
+    union = _union_of_covers(mask, crop, needs, pieces)
     return _report(mask, sizes, union, step, gamma)

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .completion import complete_single_size
+from .completion import complete_single_size, distance_cutoff
 from .masks import as_gamma, as_int, as_mask, as_pair
 
 __all__ = [
@@ -187,13 +187,13 @@ def guarantee_trial(s, canvas, gamma, model) -> TrialRecord:
     sub_seed = int(rng.integers(0, 2**63))
     outcome = corrupt_outcome(gt, CorruptionModel(model.kind, model.budget, sub_seed))
     completed = complete_single_size(outcome.mask, s, g)
-    covered = not np.any(gt & ~completed)
+    covered = completed[row : row + s, col : col + s].all()
 
     return TrialRecord(
         patch_row=row,
         patch_col=col,
         hamming=outcome.hamming,
         clamped=outcome.clamped,
-        within_budget=outcome.hamming <= int(g * s * s),
+        within_budget=outcome.hamming <= distance_cutoff(g, s),
         passed=bool(covered),
     )

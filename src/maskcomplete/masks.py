@@ -121,6 +121,7 @@ def as_gamma(gamma) -> Fraction:
         g = Fraction(float(gamma))
     else:
         raise TypeError(f"gamma must be float or Fraction, got {type(gamma)!r}")
-    if not 0 <= g < 1:
+    # A Fraction in lowest terms has a positive denominator: compare integers.
+    if not 0 <= g.numerator < g.denominator:
         raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
     return g

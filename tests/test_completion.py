@@ -785,21 +785,28 @@ class TestPassCounts:
         monkeypatch.setattr(completion, "_ones", counted_ones)
         return seen
 
-    def test_single_size_makes_one_pass(self, passes):
+    def test_single_size_makes_one_pass(self, passes, monkeypatch):
+        # The ones' box, rows 5 to 16 and cols 9 to 20, grown by 11 and
+        # clamped: the pass runs on rows 0 to 27 and cols 0 to 31.
+        widths = self.widths(monkeypatch)
         mask = np.zeros((40, 40), dtype=np.uint8)
         mask[5:17, 9:21] = 1
         assert complete_single_size(mask, 12, 0.3).any()
-        assert passes == {"fills": [40], "tables": [], "sizes": [12]}
+        assert passes == {"fills": [28], "tables": [], "sizes": [12]}
+        assert widths == [33]
 
-    def test_fixed_gamma_makes_one_pass_per_size_that_can_accept(self, passes):
+    def test_fixed_gamma_makes_one_pass_per_size_that_can_accept(self, passes, monkeypatch):
         # 144 ones: a window of side 4 holds at most 16 of them and one of
         # side 16 at most 144 of its 256, so neither comes within the
         # cutoff at 0.3 (|s² - 144| / s² is 8 and 0.44) and neither runs.
+        # The block is grown by 11, the largest live side less 1.
+        widths = self.widths(monkeypatch)
         mask = np.zeros((40, 40), dtype=np.uint8)
         mask[5:17, 9:21] = 1
         _, report = complete_fixed_gamma(mask, (4, 12, 16, 50), 0.3)
         assert report.per_size_accepted == {4: 0, 12: 5, 16: 0, 50: 0}
-        assert passes == {"fills": [40], "tables": [], "sizes": [12]}
+        assert passes == {"fills": [28], "tables": [], "sizes": [12]}
+        assert widths == [33]
 
     def test_search_repeats_only_the_sizes_accepted_at_the_stop(self, passes):
         mask = np.zeros((40, 40), dtype=np.uint8)
@@ -972,13 +979,25 @@ class TestPassCounts:
         assert out.shape == mask.shape and not out.any()
         assert passes == {"fills": [], "tables": [], "sizes": []} and widths == []
 
-    def test_a_blank_search_does_not_scan_for_the_ones(self, monkeypatch):
-        def no_scan(mask):
-            raise AssertionError("a search with no live size scanned the mask")
+    def test_a_blank_mask_is_settled_by_one_scan(self, passes, monkeypatch):
+        # The scan gives the total: on a blank mask it finds no one and
+        # sums no col, and a call with no fitting size does not scan.
+        scans, scan = [], completion._scan
 
-        monkeypatch.setattr(completion, "_scan", no_scan)
-        _, report = gamma_search(np.zeros((64, 64), dtype=np.uint8), (8, 16))
+        def recorded_scan(mask):
+            scans.append(scan(mask))
+            return scans[-1]
+
+        monkeypatch.setattr(completion, "_scan", recorded_scan)
+        blank = np.zeros((64, 64), dtype=np.uint8)
+        _, report = gamma_search(blank, (8, 16))
         assert not report.attack_found
+        assert not complete_fixed_gamma(blank, (8, 16), 0.5)[1].attack_found
+        assert not complete_single_size(blank, 8, 0.5).any()
+        assert scans == [None] * 3
+        assert not complete_single_size(blank, 65, 0.5).any()
+        assert scans == [None] * 3
+        assert passes == {"fills": [], "tables": [], "sizes": []}
 
     def test_cover_is_built_at_one_call_site(self):
         sites = []
@@ -1013,9 +1032,14 @@ class TestLinearWork:
 
     def table_work_per_pixel(self, s, n):
         """The elements the table passes of one n² call of size s write,
-        per table entry, checked pass by pass against :meth:`fill_work`."""
-        mask = generate_shape_mask("square", s, None, (n, n))
-        want = complete_single_size(mask, s, 0.25)
+        per table entry, checked pass by pass against :meth:`fill_work`.
+        The mask is the centred square plus its first and last pixel, so
+        the block the call crops to is the canvas; the output is the
+        square's alone."""
+        square = generate_shape_mask("square", s, None, (n, n))
+        mask = square.copy()
+        mask[0, 0] = mask[-1, -1] = 1
+        want = complete_single_size(square, s, 0.25)
         got, work = _tally_work(lambda: complete_single_size(mask, s, 0.25))
         assert np.array_equal(got, want)
 
@@ -1044,6 +1068,20 @@ class TestLinearWork:
         # Each doubling of the width takes one more flat add.
         assert per_pixel[128] < per_pixel[256] < per_pixel[512] < per_pixel[1024]
         assert per_pixel[1024] - per_pixel[512] < 1
+
+    @pytest.mark.parametrize("s", [25, 50, 100])
+    def test_a_localized_call_works_on_its_block(self, s):
+        # The centred square alone: every window that holds a one lies in
+        # the square grown by s - 1, a (3s - 2)² block of one band, and the
+        # call's work is that block's, whatever the canvas.
+        side = 3 * s - 2
+        for n in (512, 1024):
+            mask = generate_shape_mask("square", s, None, (n, n))
+            want = complete_single_size(mask, s, 0.25)
+            got, work = _tally_work(lambda: complete_single_size(mask, s, 0.25))
+            assert np.array_equal(got, want) and got.shape == (n, n)
+            assert work["_fill"] == [self.fill_work(side, side)]
+            assert sum(map(sum, work["_ones"])) == 3 * (side - s + 1) ** 2
 
     def test_rows_past_the_width_cap_do_equal_work_per_pixel(self, monkeypatch):
         # Past the cap each row is one running sum, so less its extra
